@@ -15,7 +15,9 @@
 # TCP with --shards=2 to two concurrent rvhpc-clients (merged responses
 # byte-identical to the stdio replay, graceful SIGTERM drain), serves it
 # again over HTTP/1.1 (curl batch POST + rvhpc-client --http, /metrics
-# and /healthz probed, graceful drain), then re-runs the threaded
+# and /healthz probed, graceful drain) and through the live stdio loop
+# with two workers and checkpoints (sorted responses byte-identical to
+# the replay), then re-runs the threaded
 # tests under TSan to catch data races in the thread pool and the net
 # event loop.  Exits non-zero on the first failure.
 #
@@ -223,6 +225,23 @@ wait "$http_pid"  # the drain must be graceful: exit 0, not a crash
 grep -q "net: drained" "$serve_tmp/http.log"
 echo "-- rvhpc-client --http byte-identical to the stdio replay;" \
   "drain was graceful"
+
+echo "== rvhpc-serve --listen=stdio: the live loop matches the stdio replay"
+# Every stdio comparison above goes through --replay; this one pipes the
+# fixture through the live loop itself.  Two workers answer in completion
+# order (hence the sort), and a checkpoint every 5 evaluations makes one
+# worker write the log while the others write responses — the
+# interleaving the unsynchronised, untied standard streams must survive.
+"$serve" --no-live-fields --jobs=2 --checkpoint-every=5 \
+  --cache-file="$serve_tmp/stdio.cache" < "$fixture" \
+  > "$serve_tmp/stdio_live.jsonl" 2> "$serve_tmp/stdio_live.log"
+LC_ALL=C sort "$serve_tmp/stdio_live.jsonl" \
+  > "$serve_tmp/stdio_live_sorted.jsonl"
+cmp "$serve_tmp/stdio_live_sorted.jsonl" "$serve_tmp/stdio_sorted.jsonl"
+grep -q "serve: checkpointed" "$serve_tmp/stdio_live.log"
+grep -q "serve: drained" "$serve_tmp/stdio_live.log"
+echo "-- $(wc -l < "$serve_tmp/stdio_live_sorted.jsonl") live stdio" \
+  "responses byte-identical to the replay; drain was graceful"
 
 echo "== configure (TSan) -> $build_dir-tsan"
 # TSan cannot combine with ASan, so the thread pool's owners get their own

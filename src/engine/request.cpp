@@ -180,20 +180,6 @@ void hash_signature(Fnv1a& h, const model::WorkloadSignature& s) {
   h.f64(s.imbalance_coeff);
 }
 
-std::uint64_t request_key(const arch::MachineModel& m,
-                          const model::WorkloadSignature& sig,
-                          const model::RunConfig& cfg, Backend backend) {
-  Fnv1a h;
-  hash_machine(h, m);
-  hash_signature(h, sig);
-  h.i(cfg.cores);
-  h.i(static_cast<int>(cfg.compiler.id));
-  h.b(cfg.compiler.vectorise);
-  h.i(static_cast<int>(cfg.placement));
-  h.i(static_cast<int>(backend));
-  return h.h;
-}
-
 }  // namespace
 
 std::string to_string(Backend b) {
@@ -214,6 +200,20 @@ Backend parse_backend(const std::string& name) {
 std::uint64_t machine_fingerprint(const arch::MachineModel& m) {
   Fnv1a h;
   hash_machine(h, m);
+  return h.h;
+}
+
+std::uint64_t request_key(const arch::MachineModel& machine,
+                          const model::WorkloadSignature& sig,
+                          const model::RunConfig& cfg, Backend backend) {
+  Fnv1a h;
+  hash_machine(h, machine);
+  hash_signature(h, sig);
+  h.i(cfg.cores);
+  h.i(static_cast<int>(cfg.compiler.id));
+  h.b(cfg.compiler.vectorise);
+  h.i(static_cast<int>(cfg.placement));
+  h.i(static_cast<int>(backend));
   return h.h;
 }
 

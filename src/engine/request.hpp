@@ -47,6 +47,17 @@ enum class Backend : std::uint8_t {
 /// never alias a registry entry in the memo cache.
 [[nodiscard]] std::uint64_t machine_fingerprint(const arch::MachineModel& m);
 
+/// Memoisation key over (machine, signature, cores, compiler, placement,
+/// backend) — request.cpp static-asserts the field checklists so a new
+/// field cannot silently stay out of the key.  PredictionRequest::key()
+/// is this function of the request's fields; callers that hold the
+/// fields already (rvhpc-serve's admission) key without copying them
+/// into a request.
+[[nodiscard]] std::uint64_t request_key(const arch::MachineModel& machine,
+                                        const model::WorkloadSignature& sig,
+                                        const model::RunConfig& cfg,
+                                        Backend backend);
+
 /// One point of a sweep, as an immutable value.
 class PredictionRequest {
  public:
@@ -63,9 +74,8 @@ class PredictionRequest {
   [[nodiscard]] const std::string& tag() const { return tag_; }
   /// The mechanism that will evaluate this request.
   [[nodiscard]] Backend backend() const { return backend_; }
-  /// Memoisation key over (machine, signature, cores, compiler, placement,
-  /// backend) — request.cpp static-asserts the field checklists so a new
-  /// field cannot silently stay out of the key.
+  /// request_key() of this request's fields, computed once at
+  /// construction.
   [[nodiscard]] std::uint64_t key() const { return key_; }
 
  private:

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <deque>
 #include <future>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -146,10 +147,6 @@ void count_http(const char* route, int status) {
         .counter(name, "HTTP exchanges completed, by route and status")
         .add();
   }
-  static obs::Histogram& statuses = obs::Registry::global().histogram(
-      "rvhpc_http_response_status", "HTTP status codes answered",
-      {99.5, 199.5, 299.5, 399.5, 499.5, 599.5});
-  statuses.observe(static_cast<double>(status));
 }
 
 void observe_http_duration(double start_us) {
@@ -160,14 +157,15 @@ void observe_http_duration(double start_us) {
   duration.observe((now_us() - start_us) / 1e6);
 }
 
-/// Extracts the first complete line (without the '\n', trailing '\r'
-/// stripped) from `buf`; false when no newline is buffered yet.
-bool take_line(std::string& buf, std::string& line) {
-  const std::size_t nl = buf.find('\n');
+/// Copies the first complete line at or after `pos` in `buf` into `line`
+/// (without the '\n', trailing '\r' stripped) and moves `pos` past it;
+/// false when no newline is buffered yet.
+bool take_line(const std::string& buf, std::size_t& pos, std::string& line) {
+  const std::size_t nl = buf.find('\n', pos);
   if (nl == std::string::npos) return false;
-  line.assign(buf, 0, nl);
+  line.assign(buf, pos, nl - pos);
   if (!line.empty() && line.back() == '\r') line.pop_back();
-  buf.erase(0, nl + 1);
+  pos = nl + 1;
   return true;
 }
 
@@ -290,6 +288,12 @@ struct HttpExchange {
 struct Connection {
   int fd = -1;
   std::string rbuf;
+  /// Bytes at the front of rbuf already taken as requests during the
+  /// current Shard::process_lines() pass.  The pass drops them with one
+  /// erase at its end: an erase per request would move the rest of the
+  /// buffer once per request, quadratic in a pipelined burst.  Zero
+  /// outside the pass, so everything else reads rbuf as unread bytes.
+  std::size_t rpos = 0;
   std::string wbuf;
   std::deque<Pending> pending;
   std::uint64_t next_seq = 0;
@@ -420,7 +424,7 @@ class Shard {
   void wake();
   void drain_wakeup();
   void adopt_incoming();
-  void read_ready(Connection& c);
+  void read_ready(Connection& c, std::size_t budget);
   bool admit_one(const std::shared_ptr<Connection>& cp);
   bool process_http_one(const std::shared_ptr<Connection>& cp);
   void handle_http_request(const std::shared_ptr<Connection>& cp);
@@ -438,6 +442,8 @@ class Shard {
   void note_answered();
   void flush_deliverable(Connection& c);
   void drain_completions();
+  void flush_conn(Connection& c);
+  bool make_room(Connection& c, std::size_t n);
   void flush_writes();
   void reap_and_time_out();
   void begin_close(Connection& c, Disconnect cause,
@@ -598,6 +604,7 @@ void Shard::begin_close(Connection& c, Disconnect cause,
     c.wbuf += farewell;
   }
   c.rbuf.clear();
+  c.rpos = 0;
   c.closing = true;
   c.cause = cause;
   c.closing_since_us = now_us();
@@ -624,12 +631,27 @@ void Shard::close_now(Connection& c, Disconnect cause) {
   }
 }
 
-void Shard::read_ready(Connection& c) {
+/// Bytes the event loop reads from one connection per pass.
+constexpr std::size_t kReadBudget = 16 * 1024;
+
+/// Moves what `c`'s socket holds into its read buffer: at most `budget`
+/// bytes, and no further once the buffer passes the line bound.  The
+/// event loop passes kReadBudget, so one pass answers at most 16 KiB of
+/// a pipelining client's requests, and the buffers a pass fills (those
+/// requests and their answers, about four times as large) stay below
+/// malloc's 128 KiB mmap threshold.  Reading to the 64 KiB line bound
+/// instead grew them to 128-200 KiB; freeing them at close made malloc
+/// trim the shard's heap, and every new pipelining connection faulted
+/// those pages back in.  The drain passes no budget: it picks up
+/// whatever the kernel already buffered, up to the line bound.
+void Shard::read_ready(Connection& c, std::size_t budget) {
   char chunk[4096];
-  while (!c.draining && !c.closing &&
+  while (budget > 0 && !c.draining && !c.closing &&
          c.rbuf.size() <= server_.opts_.max_line_bytes) {
-    const ssize_t n = ::recv(c.fd, chunk, sizeof(chunk), 0);
+    const ssize_t n =
+        ::recv(c.fd, chunk, std::min(sizeof(chunk), budget), 0);
     if (n > 0) {
+      budget -= static_cast<std::size_t>(n);
       c.rbuf.append(chunk, static_cast<std::size_t>(n));
       c.last_read_us = now_us();
       count_bytes(true, static_cast<std::uint64_t>(n));
@@ -668,10 +690,10 @@ bool Shard::admit_one(const std::shared_ptr<Connection>& cp) {
   if (c.fd < 0 || c.closing) return false;
 
   std::string line;
-  if (!take_line(c.rbuf, line)) {
+  if (!take_line(c.rbuf, c.rpos, line)) {
     // No complete line.  A partial line past the bound can never complete
     // within it — reject it now rather than buffering forever.
-    if (c.rbuf.size() > server_.opts_.max_line_bytes) {
+    if (c.rbuf.size() - c.rpos > server_.opts_.max_line_bytes) {
       begin_close(c, Disconnect::Oversize,
                   error_line("overloaded",
                              "request line exceeds " +
@@ -782,10 +804,7 @@ void Shard::dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
 /// Appends to the write buffer under the slow-reader bound; false (and
 /// the connection is gone) when the client is not draining responses.
 bool Shard::append_out(Connection& c, std::string_view data) {
-  if (c.wbuf.size() + data.size() > server_.opts_.max_write_buffer) {
-    close_now(c, Disconnect::SlowReader);
-    return false;
-  }
+  if (!make_room(c, data.size())) return false;
   c.wbuf.append(data);
   return true;
 }
@@ -800,10 +819,11 @@ bool Shard::process_http_one(const std::shared_ptr<Connection>& cp) {
   http::RequestParser& parser = *c.parser;
 
   bool progress = false;
-  if (!c.rbuf.empty()) {
-    const std::size_t used = parser.feed(c.rbuf);
+  if (c.rpos < c.rbuf.size()) {
+    const std::size_t used =
+        parser.feed(std::string_view(c.rbuf).substr(c.rpos));
     if (used > 0) {
-      c.rbuf.erase(0, used);
+      c.rpos += used;
       progress = true;
     }
   }
@@ -1056,6 +1076,10 @@ void Shard::process_lines() {
       progress |= cp->http ? process_http_one(cp) : admit_one(cp);
     }
   }
+  for (const auto& cp : conns_) {
+    cp->rbuf.erase(0, cp->rpos);
+    cp->rpos = 0;
+  }
 }
 
 /// Books one delivered response line — shared by the raw wire and every
@@ -1071,12 +1095,7 @@ void Shard::note_answered() {
 void Shard::deliver(Connection& c, Pending& p) {
   p.delivered = true;
   if (c.fd < 0 || c.closing) return;  // response owed to no one now
-  if (c.wbuf.size() + p.response.size() + 1 > server_.opts_.max_write_buffer) {
-    // The client is not draining responses; holding more would be
-    // unbounded memory, and it cannot read an apology either.
-    close_now(c, Disconnect::SlowReader);
-    return;
-  }
+  if (!make_room(c, p.response.size() + 1)) return;
   c.wbuf += p.response;
   c.wbuf += '\n';
   note_answered();
@@ -1134,27 +1153,47 @@ void Shard::drain_completions() {
   }
 }
 
-void Shard::flush_writes() {
-  for (auto& cp : conns_) {
-    Connection& c = *cp;
-    while (c.fd >= 0 && !c.wbuf.empty()) {
-      const ssize_t n =
-          ::send(c.fd, c.wbuf.data(), c.wbuf.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        c.wbuf.erase(0, static_cast<std::size_t>(n));
-        count_bytes(false, static_cast<std::uint64_t>(n));
-        std::lock_guard lock(server_.stats_mu_);
-        server_.stats_.bytes_out += static_cast<std::uint64_t>(n);
-      } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        break;
-      } else if (n < 0 && errno == EINTR) {
-        continue;
-      } else {
-        close_now(c, c.closing ? c.cause : Disconnect::Error);
-        break;
-      }
+/// Sends as much of `c`'s write buffer as the socket takes without
+/// blocking; a send error closes the connection.
+void Shard::flush_conn(Connection& c) {
+  while (c.fd >= 0 && !c.wbuf.empty()) {
+    const ssize_t n = ::send(c.fd, c.wbuf.data(), c.wbuf.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      c.wbuf.erase(0, static_cast<std::size_t>(n));
+      count_bytes(false, static_cast<std::uint64_t>(n));
+      std::lock_guard lock(server_.stats_mu_);
+      server_.stats_.bytes_out += static_cast<std::uint64_t>(n);
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      close_now(c, c.closing ? c.cause : Disconnect::Error);
+      break;
     }
   }
+}
+
+/// True when `n` more bytes fit in `c`'s write buffer under the
+/// slow-reader bound.  A burst of pipelined requests is answered inline
+/// before the loop's flush_writes() runs, so a response that does not
+/// fit first flushes the buffer to the socket; only a client whose
+/// kernel buffers are full as well is not draining its responses.
+/// Holding more for it would be unbounded memory, and it cannot read an
+/// apology either, so it is closed (false; false too when the flush
+/// itself lost the connection).
+bool Shard::make_room(Connection& c, std::size_t n) {
+  const std::size_t bound = server_.opts_.max_write_buffer;
+  if (c.wbuf.size() + n <= bound) return true;
+  flush_conn(c);
+  if (c.fd < 0) return false;
+  if (c.wbuf.size() + n <= bound) return true;
+  close_now(c, Disconnect::SlowReader);
+  return false;
+}
+
+void Shard::flush_writes() {
+  for (auto& cp : conns_) flush_conn(*cp);
 }
 
 void Shard::reap_and_time_out() {
@@ -1268,7 +1307,9 @@ void Shard::loop() {
     // non-blocking, so sweeping every connection is safe and keeps the
     // loop free of fd-to-connection bookkeeping.
     for (auto& c : conns_) {
-      if (c->fd >= 0 && !c->draining && !c->closing) read_ready(*c);
+      if (c->fd >= 0 && !c->draining && !c->closing) {
+        read_ready(*c, kReadBudget);
+      }
     }
     process_lines();
     drain_completions();
@@ -1286,7 +1327,9 @@ void Shard::drain() {
   // slow batch) still gets every one answered, with healthz now
   // reporting "draining".
   for (auto& c : conns_) {
-    if (c->fd >= 0 && !c->draining && !c->closing) read_ready(*c);
+    if (c->fd >= 0 && !c->draining && !c->closing) {
+      read_ready(*c, std::numeric_limits<std::size_t>::max());
+    }
   }
   process_lines();
   // Answered, not dropped: every dispatched compute future completes and
@@ -1325,7 +1368,9 @@ void Shard::drain() {
       (void)::poll(&none, 1, server_.opts_.poll_interval_ms);
     }
     for (auto& c : conns_) {
-      if (c->fd >= 0 && !c->draining && !c->closing) read_ready(*c);
+      if (c->fd >= 0 && !c->draining && !c->closing) {
+        read_ready(*c, std::numeric_limits<std::size_t>::max());
+      }
     }
     process_lines();
   }

@@ -128,7 +128,9 @@ struct ServerOptions {
   /// chunk).
   std::size_t max_line_bytes = 64 * 1024;
   /// Write-buffer bound per connection: responses a slow reader has not
-  /// drained.  Exceeding it disconnects the client.
+  /// drained.  A response that would exceed it first flushes the buffer
+  /// to the socket; only if it still does not fit (the kernel's buffers
+  /// are full too) is the client disconnected.
   std::size_t max_write_buffer = 256 * 1024;
   /// SO_SNDBUF for accepted sockets; 0 keeps the kernel default.  The
   /// slow-reader bound only trips once the kernel's send buffer is full,

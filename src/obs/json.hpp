@@ -14,12 +14,21 @@
 
 namespace rvhpc::obs::json {
 
-/// Escapes `s` for inclusion inside a JSON string literal (quotes, control
-/// characters and backslashes).
-[[nodiscard]] std::string escape(const std::string& s);
+/// Appends `s` to `out`, escaped for inclusion inside a JSON string
+/// literal (quotes, backslashes and control characters; bytes from 0x20
+/// up pass through unchanged).  The appending forms let a renderer build
+/// a whole document in one buffer without a temporary per field.
+void append_escaped(std::string& out, std::string_view s);
 
-/// Renders a double as a JSON-legal number token (inf/nan clamp to 0,
-/// which JSON cannot represent).
+/// Appends the JSON number token for `v` to `out`: exactly what
+/// printf("%.17g") prints (so every double round-trips), with inf/nan
+/// clamped to 0, which JSON cannot represent.
+void append_number(std::string& out, double v);
+
+/// append_escaped() into a fresh string.
+[[nodiscard]] std::string escape(std::string_view s);
+
+/// append_number() into a fresh string.
 [[nodiscard]] std::string number(double v);
 
 /// A parsed JSON document node.

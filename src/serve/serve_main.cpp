@@ -257,6 +257,16 @@ int run_gate() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Before any stream I/O.  Synchronised with C stdio, std::cin reads a
+  // --listen=stdio request line one locked getc() at a time; unsynchronised
+  // it reads in blocks.  Both ties go too.  A tied cin flushes cout before
+  // each read, so the reader blocks on a full stdout pipe while the client
+  // is still writing its window of requests and not yet reading: a
+  // deadlock.  A tied cerr flushes cout whenever a worker logs a
+  // checkpoint, outside the lock the response writers hold.
+  std::ios::sync_with_stdio(false);
+  std::cin.tie(nullptr);
+  std::cerr.tie(nullptr);
   if (cli::handle_standard_flags(argc, argv, kTool, std::cout)) return 0;
   const int jobs_applied = cli::apply_jobs_flag(argc, argv);
 

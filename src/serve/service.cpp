@@ -66,6 +66,15 @@ void count(Count which, std::uint64_t n = 1) {
   }
 }
 
+/// The end-to-end latency histogram, resolved once like the counters
+/// above; null while metrics are off.
+obs::Histogram* latency_histogram() {
+  if (!obs::metrics_enabled()) return nullptr;
+  static obs::Histogram& latency =
+      obs::Registry::global().histogram("rvhpc_serve_request_latency_seconds");
+  return &latency;
+}
+
 // --- request parsing ------------------------------------------------------
 
 /// Admission rejection with structured per-rule detail (lint findings).
@@ -92,20 +101,25 @@ std::string require_string(const obs::json::Value& v, const char* key) {
 std::string error_json(const std::string& id, const char* kind,
                        const std::string& message,
                        const std::vector<std::string>& detail = {}) {
-  std::ostringstream os;
-  os << "{\"id\": \"" << obs::json::escape(id) << "\", \"status\": \"error\", "
-     << "\"error\": \"" << kind << "\", \"message\": \""
-     << obs::json::escape(message) << "\"";
+  std::string out = "{\"id\": \"";
+  obs::json::append_escaped(out, id);
+  out += "\", \"status\": \"error\", \"error\": \"";
+  out += kind;
+  out += "\", \"message\": \"";
+  obs::json::append_escaped(out, message);
+  out += '"';
   if (!detail.empty()) {
-    os << ", \"detail\": [";
+    out += ", \"detail\": [";
     for (std::size_t i = 0; i < detail.size(); ++i) {
-      if (i) os << ", ";
-      os << "\"" << obs::json::escape(detail[i]) << "\"";
+      if (i) out += ", ";
+      out += '"';
+      obs::json::append_escaped(out, detail[i]);
+      out += '"';
     }
-    os << "]";
+    out += ']';
   }
-  os << "}";
-  return os.str();
+  out += '}';
+  return out;
 }
 
 }  // namespace
@@ -126,12 +140,23 @@ void reset_shutdown() { g_shutdown.store(0, std::memory_order_relaxed); }
 struct Service::Parsed {
   std::string id;
   std::string tag;
-  arch::MachineModel machine;
+  /// A "machine" request names a registry singleton (immutable, alive for
+  /// the process), so it is held by pointer rather than copied; only an
+  /// inline "machine_text" description is owned.  machine() picks one at
+  /// call time, so nothing points into the Parsed itself and a move
+  /// (admit() moves it into its shared_ptr) cannot leave a dangling
+  /// reference.
+  const arch::MachineModel* registry_machine = nullptr;
+  std::optional<arch::MachineModel> inline_machine;
   model::WorkloadSignature sig;
   model::RunConfig cfg;
   engine::Backend backend = engine::Backend::Analytic;
   double timeout_ms = 0.0;
   std::uint64_t key = 0;
+
+  [[nodiscard]] const arch::MachineModel& machine() const {
+    return inline_machine ? *inline_machine : *registry_machine;
+  }
 };
 
 namespace {
@@ -167,7 +192,7 @@ Service::Parsed parse_request(const std::string& line, bool lint_admission,
       throw std::invalid_argument("'machine' must be a string");
     }
     try {
-      req.machine = arch::machine(name->str);
+      req.registry_machine = &arch::machine(name->str);
     } catch (const std::out_of_range&) {
       throw std::invalid_argument("unknown machine '" + name->str + "'");
     }
@@ -176,15 +201,16 @@ Service::Parsed parse_request(const std::string& line, bool lint_admission,
       throw std::invalid_argument("'machine_text' must be a string");
     }
     // parse_machine throws invalid_argument with a line number on bad keys.
-    req.machine = arch::from_text(text->str);
-    if (const auto issues = arch::validate(req.machine); !issues.empty()) {
+    req.inline_machine = arch::from_text(text->str);
+    if (const auto issues = arch::validate(*req.inline_machine);
+        !issues.empty()) {
       std::vector<std::string> detail;
       for (const auto& issue : issues) detail.push_back(issue.message);
       throw LintReject("machine_text fails structural validation",
                        std::move(detail));
     }
     if (lint_admission) {
-      const analysis::Report lint = analysis::lint_machine(req.machine);
+      const analysis::Report lint = analysis::lint_machine(*req.inline_machine);
       if (lint.has_errors()) {
         std::vector<std::string> detail;
         for (const auto& d : lint.diagnostics) detail.push_back(d.format());
@@ -204,7 +230,8 @@ Service::Parsed parse_request(const std::string& line, bool lint_admission,
   }
   req.sig = model::signature(kernel, cls);
 
-  int cores = req.machine.cores;
+  const arch::MachineModel& machine = req.machine();
+  int cores = machine.cores;
   if (const auto* n = member(doc, "cores")) {
     if (!n->is(obs::json::Value::Type::Number) || n->num < 1 ||
         n->num != static_cast<double>(static_cast<int>(n->num))) {
@@ -212,7 +239,7 @@ Service::Parsed parse_request(const std::string& line, bool lint_admission,
     }
     cores = static_cast<int>(n->num);
   }
-  req.cfg = model::paper_run_config(req.machine, kernel, cores);
+  req.cfg = model::paper_run_config(machine, kernel, cores);
   if (const auto* c = member(doc, "compiler")) {
     if (!c->is(obs::json::Value::Type::String)) {
       throw std::invalid_argument("'compiler' must be a string");
@@ -247,9 +274,7 @@ Service::Parsed parse_request(const std::string& line, bool lint_admission,
     req.timeout_ms = t->num;
   }
 
-  req.key = engine::PredictionRequest(req.machine, req.sig, req.cfg, "",
-                                      req.backend)
-                .key();
+  req.key = engine::request_key(machine, req.sig, req.cfg, req.backend);
   return req;
 }
 
@@ -328,6 +353,7 @@ std::string Service::complete(const Parsed& req, double arrival_us) {
   obs::ScopedSpan span("serve", "request");
   bool hit = false;
   model::Prediction p;
+  const arch::MachineModel& machine = req.machine();
   // rvhpc: hot-path begin — serve cache-hit fast path: a warm request must
   // answer from the memo without allocating (rvhpc-lint S1xx guards this).
   if (std::optional<model::Prediction> cached = cache_.get(req.key)) {
@@ -336,14 +362,13 @@ std::string Service::complete(const Parsed& req, double arrival_us) {
   }
   // rvhpc: hot-path end
   if (!hit) {
-    p = engine::backend_for(req.backend)
-            .predict(req.machine, req.sig, req.cfg);
+    p = engine::backend_for(req.backend).predict(machine, req.sig, req.cfg);
     cache_.put(req.key, p);
   }
   if (span.active()) {
     span.arg("id", req.id);
     span.arg("backend", engine::to_string(req.backend));
-    span.arg("machine", req.machine.name);
+    span.arg("machine", machine.name);
     span.arg("kernel", to_string(req.sig.kernel));
     span.arg("cache", hit ? "hit" : "miss");
   }
@@ -354,39 +379,53 @@ std::string Service::complete(const Parsed& req, double arrival_us) {
     if (!p.ran) ++stats_.dnr;
   }
 
-  std::ostringstream os;
-  os << "{\"id\": \"" << obs::json::escape(req.id)
-     << "\", \"status\": \"ok\", \"ran\": " << (p.ran ? "true" : "false");
-  if (!req.tag.empty()) {
-    os << ", \"tag\": \"" << obs::json::escape(req.tag) << "\"";
-  }
-  if (!p.ran) {
-    os << ", \"dnr_reason\": \"" << obs::json::escape(p.dnr_reason) << "\"";
-  }
-  os << ", \"backend\": \"" << obs::json::escape(engine::to_string(req.backend))
-     << "\", \"machine\": \"" << obs::json::escape(req.machine.name)
-     << "\", \"kernel\": \"" << obs::json::escape(to_string(req.sig.kernel))
-     << "\", \"class\": \""
-     << obs::json::escape(to_string(req.sig.problem_class))
-     << "\", \"cores\": " << req.cfg.cores
-     << ", \"seconds\": " << obs::json::number(p.seconds)
-     << ", \"mops\": " << obs::json::number(p.mops)
-     << ", \"bw_gbs\": " << obs::json::number(p.achieved_bw_gbs)
-     << ", \"bottleneck\": \""
-     << obs::json::escape(to_string(p.breakdown.dominant))
-     << "\", \"vectorised\": " << (p.vector.vectorised ? "true" : "false");
+  // One buffer, appended field by field: no stream, no string per field.
+  // The reserve covers the fixed text and numbers of a typical response.
+  std::string out;
+  out.reserve(320 + req.id.size() + req.tag.size() + machine.name.size() +
+              p.dnr_reason.size());
+  const auto string_field = [&out](const char* key, std::string_view value) {
+    out += ", \"";
+    out += key;
+    out += "\": \"";
+    obs::json::append_escaped(out, value);
+    out += '"';
+  };
+  const auto number_field = [&out](const char* key, double value) {
+    out += ", \"";
+    out += key;
+    out += "\": ";
+    obs::json::append_number(out, value);
+  };
+  out += "{\"id\": \"";
+  obs::json::append_escaped(out, req.id);
+  out += "\", \"status\": \"ok\", \"ran\": ";
+  out += p.ran ? "true" : "false";
+  if (!req.tag.empty()) string_field("tag", req.tag);
+  if (!p.ran) string_field("dnr_reason", p.dnr_reason);
+  string_field("backend", engine::to_string(req.backend));
+  string_field("machine", machine.name);
+  string_field("kernel", to_string(req.sig.kernel));
+  string_field("class", to_string(req.sig.problem_class));
+  out += ", \"cores\": ";
+  out += std::to_string(req.cfg.cores);
+  number_field("seconds", p.seconds);
+  number_field("mops", p.mops);
+  number_field("bw_gbs", p.achieved_bw_gbs);
+  string_field("bottleneck", to_string(p.breakdown.dominant));
+  out += ", \"vectorised\": ";
+  out += p.vector.vectorised ? "true" : "false";
+  // End-to-end latency, admission to completion: the response's
+  // latency_us and the histogram (seconds, the repo-wide log-spaced timer
+  // layout: the p99 the throughput bench gates on) read one clock.
+  const double latency_us = now_us() - arrival_us;
   if (opts_.live_fields) {
-    os << ", \"cache\": \"" << (hit ? "hit" : "miss") << "\""
-       << ", \"latency_us\": " << obs::json::number(now_us() - arrival_us);
+    out += hit ? ", \"cache\": \"hit\"" : ", \"cache\": \"miss\"";
+    number_field("latency_us", latency_us);
   }
-  os << "}";
-  // End-to-end latency, admission to completion (seconds, the repo-wide
-  // log-spaced timer layout): the p99 the throughput bench gates on.
-  if (obs::Histogram* h =
-          obs::timer_target("rvhpc_serve_request_latency_seconds")) {
-    h->observe((now_us() - arrival_us) * 1e-6);
-  }
-  return os.str();
+  out += '}';
+  if (obs::Histogram* h = latency_histogram()) h->observe(latency_us * 1e-6);
+  return out;
 }
 
 bool Service::cached(const Parsed& req) { return cache_.contains(req.key); }

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/registry.hpp"
+#include "arch/serialize.hpp"
 #include "engine/batch.hpp"
 #include "engine/cache.hpp"
 #include "engine/request.hpp"
@@ -126,6 +127,76 @@ TEST(PredictionRequest, KeyCoversCoresAndCompiler) {
             engine::PredictionRequest(m, sig, cfg, "other-tag",
                                       engine::Backend::Interval)
                 .key());  // the tag is a display label, not an input
+}
+
+// Persisted cache files (rvhpc-serve --cache-file, suite_summary) are
+// keyed by these values: a change to the hash, its field order or the
+// parsing that feeds it would silently orphan every saved entry.  The
+// literals were recorded from the implementation that wrote the files.
+TEST(PredictionRequest, KeyValuesArePinned) {
+  const auto key_of = [](const arch::MachineModel& m, model::Kernel k,
+                         model::ProblemClass cls, int cores,
+                         engine::Backend backend) {
+    const model::WorkloadSignature sig = model::signature(k, cls);
+    const model::RunConfig cfg = model::paper_run_config(m, k, cores);
+    const std::uint64_t key =
+        engine::PredictionRequest(m, sig, cfg, "", backend).key();
+    // rvhpc-serve keys admitted requests with the free function.
+    EXPECT_EQ(engine::request_key(m, sig, cfg, backend), key);
+    return key;
+  };
+  const arch::MachineModel& sg2044 = arch::machine(arch::MachineId::Sg2044);
+  EXPECT_EQ(key_of(sg2044, model::Kernel::CG, model::ProblemClass::C, 64,
+                   engine::Backend::Analytic),
+            0x23eae8228ec40723ull);
+  const arch::MachineModel& epyc = arch::machine(arch::MachineId::Epyc7742);
+  EXPECT_EQ(key_of(epyc, model::Kernel::MG, model::ProblemClass::B, 32,
+                   engine::Backend::Interval),
+            0x7fba7d3ce0dedad3ull);
+  const arch::MachineModel& dual = arch::machine(arch::MachineId::Sg2044Dual);
+  EXPECT_EQ(key_of(dual, model::Kernel::FT, model::ProblemClass::C, dual.cores,
+                   engine::Backend::Analytic),
+            0x788e9fecff2cb1f6ull);
+  // An inline description, parsed the way rvhpc-serve parses
+  // "machine_text" (examples/machines/sg2046-hypothetical.machine).
+  const arch::MachineModel inline_machine = arch::from_text(R"(
+name = sg2046-hypothetical
+part = Hypothetical Sophon SG2046
+isa = RV64GCV
+cores = 64
+cluster_size = 4
+core.clock_ghz = 3.0
+core.out_of_order = true
+core.decode_width = 4
+core.issue_width = 8
+core.fp_units = 2
+core.load_store_units = 2
+core.pipeline_stages = 12
+core.sustained_scalar_opc = 1.4
+core.miss_level_parallelism = 8
+core.complex_loop_efficiency = 0.8
+core.vector.isa = RVV v1.0
+core.vector.width_bits = 256
+core.vector.pipes = 2
+core.vector.gather_efficiency = 0.5
+cache = L1D 65536 8 64 1 4
+cache = L2 2097152 16 64 4 14
+cache = L3 134217728 16 64 64 40
+memory.controllers = 32
+memory.channels = 32
+memory.ddr_kind = DDR5-6400
+memory.channel_bw_gbs = 12.8
+memory.stream_efficiency = 0.44
+memory.per_core_bw_gbs = 7.2
+memory.idle_latency_ns = 100
+memory.controller_queue_depth = 32
+memory.read_bw_bonus = 1.0
+memory.numa_regions = 1
+memory.dram_gib = 256
+)");
+  EXPECT_EQ(key_of(inline_machine, model::Kernel::LU, model::ProblemClass::A,
+                   16, engine::Backend::Analytic),
+            0xe9c16b3857387d51ull);
 }
 
 TEST(RequestSet, ScalingHelperTagsAndOrder) {

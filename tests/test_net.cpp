@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -358,6 +359,83 @@ TEST(NetServer, SlowReaderIsDisconnectedWithBoundedMemory) {
   const obs::json::Value v = obs::json::parse(good.recv_line());
   EXPECT_EQ(v.find("id")->str, "ok");
   EXPECT_EQ(v.find("status")->str, "ok");
+}
+
+/// The index r of an "ok" answer to the request with id "b<r>" (r below
+/// `burst`), setting `hit` from its cache field; -1 for any other line.
+int burst_answer(const std::string& line, int burst, bool& hit) {
+  const obs::json::Value v = obs::json::parse(line);
+  const obs::json::Value* status = v.find("status");
+  const obs::json::Value* id = v.find("id");
+  if (status == nullptr || status->str != "ok" || id == nullptr ||
+      id->str.size() < 2 || id->str[0] != 'b') {
+    return -1;
+  }
+  int r = -1;
+  std::from_chars(id->str.data() + 1, id->str.data() + id->str.size(), r);
+  const obs::json::Value* cache = v.find("cache");
+  hit = cache != nullptr && cache->str == "hit";
+  return r < burst ? r : -1;
+}
+
+TEST(NetServer, PipelinedWarmBurstIsAnsweredNotDroppedAsSlowReader) {
+  // A client that pipelines cache hits while reading its answers is not a
+  // slow reader.  One loop pass admits up to 16 KiB of lines, each
+  // answered inline, and their responses (several times the size of the
+  // requests) outgrow this write bound before the loop's flush pass runs,
+  // while the kernel's send buffer has room for them — so the bound may
+  // only be judged once the buffer has been flushed.
+  net::ServerOptions nopts;
+  nopts.max_write_buffer = 16 * 1024;
+  nopts.so_sndbuf = 1 << 20;
+  LoopbackServer s(nopts);
+  Client cl(s.server.port());
+  ASSERT_TRUE(cl.connected());
+  ASSERT_TRUE(cl.send_all(request_line("warm", "EP", 8)));
+  ASSERT_EQ(obs::json::parse(cl.recv_line()).find("status")->str, "ok");
+
+  constexpr int kBurst = 2000;
+  std::string batch;
+  for (int r = 0; r < kBurst; ++r) {
+    std::string id = "b";  // (two-step concat dodges GCC bug 105651)
+    id += std::to_string(r);
+    batch.append(request_line(id, "EP", 8));
+  }
+  std::atomic<bool> sent{false};
+  std::thread sender([&] {
+    sent = cl.send_all(batch);
+    cl.shutdown_write();
+  });
+  std::vector<int> seen(kBurst, 0);
+  int answered = 0;
+  int hits = 0;
+  // The sender thread must be joined before the test returns, so a bad
+  // answer is recorded and ends the loop instead of returning early; the
+  // shutdown then fails the sender's pending send.
+  for (std::string line = cl.recv_line(); !line.empty();
+       line = cl.recv_line()) {
+    bool hit = false;
+    const int r = burst_answer(line, kBurst, hit);
+    if (r < 0) {
+      ADD_FAILURE() << "unexpected answer: " << line;
+      ::shutdown(cl.fd, SHUT_RDWR);
+      break;
+    }
+    ++seen[static_cast<std::size_t>(r)];
+    ++answered;
+    if (hit) ++hits;
+  }
+  sender.join();
+  EXPECT_TRUE(sent.load());
+  EXPECT_EQ(answered, kBurst);
+  EXPECT_EQ(hits, kBurst);
+  for (int r = 0; r < kBurst; ++r) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(r)], 1) << "id b" << r;
+  }
+  ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
+    return st.disconnect_eof == 1;
+  }));
+  EXPECT_EQ(s.server.stats().disconnect_slow_reader, 0u);
 }
 
 // --- timeouts -------------------------------------------------------------

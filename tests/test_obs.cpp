@@ -8,8 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -219,6 +226,123 @@ TEST(ObsJsonParser, RejectsMalformedDocuments) {
   EXPECT_THROW(obs::json::parse("{\"a\": 1} trailing"), std::runtime_error);
   EXPECT_THROW(obs::json::parse("tru"), std::runtime_error);
   EXPECT_THROW(obs::json::parse(""), std::runtime_error);
+}
+
+// The emitters' appending forms must print exactly what the printf-based
+// forms they replaced printed: every response byte rvhpc-serve writes, and
+// every cold/warm and cross-wire cmp gate, rests on it.
+
+namespace {
+
+/// printf's "%.17g", the number format the emitter is defined by.
+std::string printf_17g(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::string appended_number(double v) {
+  std::string out = "x";  // appends, never overwrites
+  obs::json::append_number(out, v);
+  return out.substr(1);
+}
+
+/// The escaper as it was written before the appending form: the oracle
+/// for the byte-by-byte comparison.
+std::string reference_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(ObsJsonNumber, MatchesPrintf17gOnRandomBitPatterns) {
+  std::mt19937_64 rng(20250813);
+  int finite = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    if (!std::isfinite(v)) continue;  // covered below
+    ++finite;
+    const std::string want = printf_17g(v);
+    ASSERT_EQ(appended_number(v), want) << "bits " << std::bit_cast<std::uint64_t>(v);
+    ASSERT_EQ(obs::json::number(v), want);
+  }
+  EXPECT_GT(finite, 99000);  // an exponent of all ones is 1 pattern in 2048
+}
+
+TEST(ObsJsonNumber, MatchesPrintf17gOnEdgeValues) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                -1.0,
+                                0.1,
+                                1.0 / 3.0,
+                                1e21,
+                                1e-7,
+                                123456789012345680.0,
+                                DBL_MAX,
+                                -DBL_MAX,
+                                DBL_MIN,
+                                -DBL_MIN,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                DBL_MIN / 3.0,
+                                std::nextafter(DBL_MIN, 0.0),
+                                DBL_EPSILON};
+  // Integers up to 2^53, the last run every double holds exactly.
+  for (int e = 0; e <= 53; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double v : {p - 1.0, p, p + 1.0, -p}) values.push_back(v);
+  }
+  for (const double v : values) {
+    EXPECT_EQ(appended_number(v), printf_17g(v)) << "value " << v;
+    EXPECT_EQ(obs::json::number(v), printf_17g(v)) << "value " << v;
+  }
+}
+
+TEST(ObsJsonNumber, NonFiniteValuesPrintZero) {
+  for (const double v : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(appended_number(v), "0");
+    EXPECT_EQ(obs::json::number(v), "0");
+  }
+}
+
+TEST(ObsJsonEscape, MatchesTheReferenceOnEveryByte) {
+  std::string all;
+  for (int b = 0; b <= 0xFF; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    const std::string want = reference_escape(one);
+    std::string out = "x";  // appends, never overwrites
+    obs::json::append_escaped(out, one);
+    EXPECT_EQ(out, "x" + want) << "byte " << b;
+    EXPECT_EQ(obs::json::escape(one), want) << "byte " << b;
+    all += one;
+    all += "ab";  // runs of plain bytes between the escapes
+  }
+  std::string out;
+  obs::json::append_escaped(out, all);
+  EXPECT_EQ(out, reference_escape(all));
+  EXPECT_EQ(obs::json::escape(all), reference_escape(all));
 }
 
 // --- metrics ---------------------------------------------------------------
