@@ -15,9 +15,10 @@
 # TCP with --shards=2 to two concurrent rvhpc-clients (merged responses
 # byte-identical to the stdio replay, graceful SIGTERM drain), serves it
 # again over HTTP/1.1 (curl batch POST + rvhpc-client --http, /metrics
-# and /healthz probed, graceful drain) and through the live stdio loop
+# and /healthz probed, graceful drain) and through a live stdio session
 # with two workers and checkpoints (sorted responses byte-identical to
-# the replay), then re-runs the threaded
+# the replay; id-less responses byte-identical unsorted), then re-runs the
+# threaded
 # tests under TSan to catch data races in the thread pool and the net
 # event loop.  Exits non-zero on the first failure.
 #
@@ -226,12 +227,12 @@ grep -q "net: drained" "$serve_tmp/http.log"
 echo "-- rvhpc-client --http byte-identical to the stdio replay;" \
   "drain was graceful"
 
-echo "== rvhpc-serve --listen=stdio: the live loop matches the stdio replay"
+echo "== rvhpc-serve --listen=stdio: the live session matches the stdio replay"
 # Every stdio comparison above goes through --replay; this one pipes the
-# fixture through the live loop itself.  Two workers answer in completion
-# order (hence the sort), and a checkpoint every 5 evaluations makes one
-# worker write the log while the others write responses — the
-# interleaving the unsynchronised, untied standard streams must survive.
+# fixture through a live stdio session, one more connection on the shard
+# core.  The fixture's requests carry ids, so with two workers an answer
+# may overtake an earlier one (hence the sort), and a checkpoint every 5
+# evaluations runs on the flusher thread while the shard writes answers.
 "$serve" --no-live-fields --jobs=2 --checkpoint-every=5 \
   --cache-file="$serve_tmp/stdio.cache" < "$fixture" \
   > "$serve_tmp/stdio_live.jsonl" 2> "$serve_tmp/stdio_live.log"
@@ -242,6 +243,19 @@ grep -q "serve: checkpointed" "$serve_tmp/stdio_live.log"
 grep -q "serve: drained" "$serve_tmp/stdio_live.log"
 echo "-- $(wc -l < "$serve_tmp/stdio_live_sorted.jsonl") live stdio" \
   "responses byte-identical to the replay; drain was graceful"
+
+echo "== rvhpc-serve --listen=stdio: id-less answers come back in request order"
+# Without ids a client cannot match answers, so the session must answer
+# in request order: the same fixture with its ids stripped, through two
+# workers, is compared with its replay unsorted.
+sed 's/"id": "[^"]*", //' "$fixture" > "$serve_tmp/idless.jsonl"
+"$serve" --replay="$serve_tmp/idless.jsonl" \
+  --out="$serve_tmp/idless_replay.jsonl" 2> /dev/null
+"$serve" --no-live-fields --jobs=2 < "$serve_tmp/idless.jsonl" \
+  > "$serve_tmp/idless_live.jsonl" 2> "$serve_tmp/idless_live.log"
+cmp "$serve_tmp/idless_live.jsonl" "$serve_tmp/idless_replay.jsonl"
+echo "-- $(wc -l < "$serve_tmp/idless_live.jsonl") id-less live stdio" \
+  "responses in request order, byte-identical to the replay"
 
 echo "== configure (TSan) -> $build_dir-tsan"
 # TSan cannot combine with ASan, so the thread pool's owners get their own
@@ -255,8 +269,9 @@ cmake -B "$build_dir-tsan" -S "$repo_root" "${generator[@]}" \
 # self-scan keeps the baseline honest under a second compiler config.
 # test_sim exercises two concurrent memsim consumers (interval backend +
 # stall profiler), which only TSan can vouch for.
-# test_topo spins up domain-pinned thread pools (TopoPlacement) — the
-# placement counter and worker handoff belong under TSan too.
+# test_topo starts no threads of its own; it stays so the topology
+# overlay, interval backend included, keeps running under a second
+# instrumented build.
 cmake --build "$build_dir-tsan" -j \
   --target test_engine test_obs test_serve test_net test_http test_analysis \
   test_sim test_topo

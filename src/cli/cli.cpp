@@ -1,7 +1,10 @@
 #include "cli/cli.hpp"
 
+#include <cstdlib>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <thread>
 
 #include "engine/batch.hpp"
 
@@ -60,7 +63,27 @@ std::string jobs_flag_help() {
 }
 
 int apply_jobs_flag(int argc, char** argv) {
-  return engine::apply_jobs_flag(argc, argv);
+  constexpr std::string_view kFlag = "--jobs=";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.rfind(kFlag, 0) != 0) continue;
+    char* end = nullptr;
+    const std::string value(arg.substr(kFlag.size()));
+    const long jobs = std::strtol(value.c_str(), &end, 10);
+    if (end == nullptr || *end != '\0' || value.empty()) continue;
+    if (jobs == 0) {
+      // --jobs=0 = "every hardware thread", uniformly across binaries.
+      const unsigned hw = std::thread::hardware_concurrency();
+      const int effective = hw > 0 ? static_cast<int>(hw) : 1;
+      engine::set_default_jobs(effective);
+      return effective;
+    }
+    if (jobs > 0 && jobs <= 4096) {
+      engine::set_default_jobs(static_cast<int>(jobs));
+      return static_cast<int>(jobs);
+    }
+  }
+  return 0;
 }
 
 }  // namespace rvhpc::cli

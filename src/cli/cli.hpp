@@ -46,7 +46,8 @@ void print_help(std::ostream& os, const ToolInfo& tool);
 [[nodiscard]] bool parse_size(const std::string& text, std::size_t& out);
 
 /// Scans argv for `--jobs=N` and sizes the engine's default evaluator
-/// pool: N > 0 uses exactly N workers, N == 0 uses every hardware thread
+/// pool (engine::set_default_jobs): N > 0 uses exactly N workers (up to
+/// 4096), N == 0 uses every hardware thread
 /// (std::thread::hardware_concurrency) — the same semantics on every
 /// binary.  Returns the effective worker count applied, 0 when the flag is
 /// absent or malformed.  Other arguments are left untouched.

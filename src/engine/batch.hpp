@@ -62,13 +62,4 @@ class BatchEvaluator {
 /// effect immediately: the evaluator is rebuilt if already constructed.
 void set_default_jobs(int jobs);
 
-/// Scans argv for `--jobs=N` and applies it via set_default_jobs().
-/// `--jobs=0` means "use every hardware thread" (hardware_concurrency) on
-/// every binary, so scripts can opt into full parallelism without probing
-/// the host first.  Returns the effective worker count applied (0 when the
-/// flag is absent or malformed); other arguments are left for the caller.
-/// Prefer calling this through cli::apply_jobs_flag, which documents the
-/// flag once for every tool.
-int apply_jobs_flag(int argc, char** argv);
-
 }  // namespace rvhpc::engine

@@ -2,48 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <string>
 #include <utility>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace rvhpc::engine {
-
-namespace {
-
-/// Best-effort: pin the calling thread to the `domain`-th of `domains`
-/// contiguous CPU blocks.  Returns whether the affinity call succeeded;
-/// any failure (no permission, exotic cpuset, non-Linux host) leaves the
-/// thread free-running, which is always correct, just unplaced.
-bool pin_to_domain(int domain, int domains, int hw) {
-#ifdef __linux__
-  if (domains <= 1 || hw < domains) return false;
-  const int per = hw / domains;                    // block size, >= 1
-  const int lo = domain * per;
-  const int hi = (domain == domains - 1) ? hw : lo + per;  // last takes slack
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (int cpu = lo; cpu < hi; ++cpu) CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof set, &set) == 0;
-#else
-  (void)domain;
-  (void)domains;
-  (void)hw;
-  return false;
-#endif
-}
-
-}  // namespace
-
-PlacementHints placement_for(const arch::MachineModel& m) {
-  PlacementHints h;
-  if (!m.topology.flat())
-    h.domains = static_cast<int>(m.topology.domains.size());
-  return h;
-}
 
 int default_jobs() {
   if (const char* env = std::getenv("RVHPC_JOBS")) {
@@ -56,30 +17,10 @@ int default_jobs() {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-ThreadPool::ThreadPool(int threads) : ThreadPool(threads, PlacementHints{}) {}
-
-ThreadPool::ThreadPool(int threads, const PlacementHints& hints) {
+ThreadPool::ThreadPool(int threads) {
   const int n = std::max(threads, 1);
-  domains_ = std::max(hints.domains, 1);
-  // The gate: only place when the host actually has one CPU per domain.
-  // A single-CPU CI box therefore takes exactly the unhinted path.
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const bool place = domains_ > 1 && hw >= domains_;
   workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const int domain = domain_of(i);
-    workers_.emplace_back([this, domain, place, hw] {
-      if (place && pin_to_domain(domain, domains_, hw)) ++placed_;
-      worker_loop();
-    });
-  }
-}
-
-int ThreadPool::domain_of(int worker) const {
-  // Round-robin, so any pool size spreads as evenly as possible over the
-  // hinted domains (the same filled-first order topo::domains_spanned
-  // assumes is immaterial here: every domain hosts ceil/floor(n/d)).
-  return domains_ > 1 ? worker % domains_ : 0;
+  for (int i = 0; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {

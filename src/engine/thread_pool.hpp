@@ -7,7 +7,6 @@
 // exceptions thrown by a task are caught, stored, and rethrown from wait()
 // on the submitting thread so batch callers see ordinary C++ error flow.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -21,8 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "arch/machine.hpp"
-
 namespace rvhpc::engine {
 
 /// Number of workers to use when the caller does not say: the
@@ -30,30 +27,11 @@ namespace rvhpc::engine {
 /// std::thread::hardware_concurrency(), else 1.
 [[nodiscard]] int default_jobs();
 
-/// Optional NUMA-placement hints for a pool.  Workers are assigned to
-/// `domains` domains round-robin and — best-effort, Linux only — pinned
-/// to that domain's contiguous slice of the host's CPUs.  The gate:
-/// pinning is attempted only when the host has at least `domains` CPUs,
-/// so a single-CPU CI box takes exactly the unhinted code path.  Hints
-/// are an optimisation, never a correctness requirement; pinning
-/// failures are ignored and only counted (ThreadPool::placed_workers).
-struct PlacementHints {
-  int domains = 1;  ///< <= 1 means no placement at all
-};
-
-/// Hints matching a machine's NUMA topology: one pool domain per
-/// declared topo::Domain (flat machines hint nothing), so a batch
-/// evaluated for a dual-socket machine can spread its workers the same
-/// way the modeled threads spread.
-[[nodiscard]] PlacementHints placement_for(const arch::MachineModel& m);
-
 class ThreadPool {
  public:
   /// Spawns `threads` workers (clamped to >= 1).  `threads == 1` still
   /// spawns one worker so the execution path is identical at every size.
   explicit ThreadPool(int threads);
-  /// Same, with NUMA placement hints (see PlacementHints).
-  ThreadPool(int threads, const PlacementHints& hints);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -85,13 +63,6 @@ class ThreadPool {
 
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Planned domain of worker `i` under the construction hints
-  /// (round-robin); 0 when the pool is unhinted.
-  [[nodiscard]] int domain_of(int worker) const;
-  /// Workers actually pinned to their domain's CPU slice.  0 when the
-  /// gate kept placement off (unhinted pool, or host CPUs < domains).
-  [[nodiscard]] int placed_workers() const { return placed_; }
-
  private:
   void worker_loop();
 
@@ -103,8 +74,6 @@ class ThreadPool {
   std::exception_ptr first_error_;
   bool stop_ = false;
   std::vector<std::thread> workers_;
-  int domains_ = 1;
-  std::atomic<int> placed_{0};
 };
 
 }  // namespace rvhpc::engine

@@ -43,18 +43,12 @@ void set_nonblocking(int fd) {
   if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// A transport-level error in the service's error-response shape (no
-/// trailing newline), so a client can parse every line it ever receives
-/// the same way.
-std::string error_body(const char* kind, const std::string& message) {
-  return std::string("{\"id\": \"\", \"status\": \"error\", \"error\": \"") +
-         kind + "\", \"message\": \"" + obs::json::escape(message) + "\"}";
-}
-
-/// The newline-terminated farewell variant (written straight to a write
-/// buffer, outside the response-delivery path).
-std::string error_line(const char* kind, const std::string& message) {
-  return error_body(kind, message) + "\n";
+/// True when a read of `fd` will not block: data, EOF or an error is
+/// waiting.  A stdio session's input keeps the flags it was inherited
+/// with, so it may be a blocking fd.
+bool readable(int fd) {
+  pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, 0) > 0;
 }
 
 // --- net-level metrics ----------------------------------------------------
@@ -286,7 +280,12 @@ struct HttpExchange {
 };
 
 struct Connection {
-  int fd = -1;
+  int fd = -1;      ///< read side: the socket, or a stdio session's input
+  int out_fd = -1;  ///< write side: the socket again, or the session's output
+  /// A stdio session (Server::adopt_stdio): its fds keep the flags they
+  /// were inherited with, and its writes wait for a stalled reader
+  /// instead of dropping it as a slow reader.
+  bool stdio = false;
   std::string rbuf;
   /// Bytes at the front of rbuf already taken as requests during the
   /// current Shard::process_lines() pass.  The pass drops them with one
@@ -314,26 +313,53 @@ struct Connection {
   std::deque<HttpExchange> exchanges;
 };
 
-/// Locates a dispatched request by per-connection sequence number — it
-/// lives either on the raw-wire deque or inside an HTTP exchange.
-Pending* find_pending(Connection& c, std::uint64_t seq) {
+/// The first request of `c` awaiting delivery for which `pred` holds —
+/// on the raw-wire deque or inside any HTTP exchange; null when none.
+template <typename Pred>
+Pending* find_item(Connection& c, Pred pred) {
   for (Pending& p : c.pending) {
-    if (p.seq == seq) return &p;
+    if (pred(p)) return &p;
   }
   for (HttpExchange& ex : c.exchanges) {
     for (Pending& p : ex.items) {
-      if (p.seq == seq) return &p;
+      if (pred(p)) return &p;
     }
   }
   return nullptr;
 }
 
+/// The ordering contract (DESIGN.md §13.2) over one run of requests — a
+/// raw-wire connection's pending deque, or a chunked HTTP exchange's items
+/// from `front` on: an unordered (id-carrying) item is delivered the
+/// moment it is done, from any position; an ordered (id-less) one only
+/// from the front, so a slow ordered item holds its successors back.
+/// `send` frames one done item into the write buffer, marks it delivered
+/// and returns false once the connection is gone, which ends the pass.
+/// Returns the new front: every item before it has been delivered.
+template <typename Items, typename Send>
+std::size_t deliver_ready(Items& items, std::size_t front, Send send) {
+  for (std::size_t i = front; i < items.size(); ++i) {
+    Pending& p = items[i];
+    if (!p.ordered && p.done && !p.delivered && !send(p)) return front;
+  }
+  for (; front < items.size(); ++front) {
+    Pending& p = items[front];
+    if (p.delivered) continue;
+    if (!p.ordered || !p.done || !send(p)) break;
+  }
+  return front;
+}
+
 // --- CacheFlusher: the background checkpoint thread -----------------------
 
-/// Owns the thread that writes the persistent cache.  Shards and pool
+/// Owns the thread that writes the periodic checkpoints.  Shards and pool
 /// workers only ever notify() it — the file write (and its "serve:
 /// checkpointed" log line) never runs on an event loop or a compute
-/// worker.  Destruction performs the drain-time flush and joins.
+/// worker.  Destruction joins the thread and then writes the drain's
+/// checkpoint on the destroying thread, the one that called
+/// Server::run(): that save's buffers then come from the heap that
+/// already holds the restored cache, not from the flusher thread's
+/// otherwise idle malloc arena.
 class CacheFlusher {
  public:
   CacheFlusher(serve::Service& service, std::ostream& log)
@@ -346,6 +372,7 @@ class CacheFlusher {
     }
     cv_.notify_one();
     thread_.join();
+    service_.flush(log_);
   }
 
   CacheFlusher(const CacheFlusher&) = delete;
@@ -364,14 +391,13 @@ class CacheFlusher {
     std::unique_lock lock(mu_);
     while (true) {
       cv_.wait(lock, [this] { return due_ || stop_; });
-      const bool stopping = stop_;
+      // A checkpoint still due at stop is the drain's, written once by
+      // the destructor.
+      if (stop_) return;
       due_ = false;
       lock.unlock();
-      // On stop this doubles as the drain-time checkpoint, so the log and
-      // the cache file look exactly like the single-threaded server's.
       service_.flush(log_);
       lock.lock();
-      if (stopping) return;
     }
   }
 
@@ -403,11 +429,13 @@ class Shard {
   void request_stop();
   void join();
 
-  /// Hands an accepted socket to this shard (acceptor thread).  `refused`
-  /// connections get the polite "overloaded" farewell (a structured line
-  /// on the raw wire, a 503 + Retry-After over HTTP) and close.  `http`
-  /// fixes the connection's protocol for its lifetime.
-  void adopt(int fd, bool refused, bool http);
+  /// Hands a connection to this shard (acceptor thread): an accepted
+  /// socket (`out_fd` < 0), or a stdio session reading `fd` and answering
+  /// on `out_fd`.  `refused` connections get the polite "overloaded"
+  /// farewell (a structured line on the raw wire, a 503 + Retry-After
+  /// over HTTP) and close.  `http` fixes the connection's protocol for
+  /// its lifetime.
+  void adopt(int fd, int out_fd, bool refused, bool http);
 
   /// A dispatched compute phase finished (pool thread): queue the
   /// completion and wake the loop so the response is delivered now.
@@ -433,12 +461,11 @@ class Shard {
   bool append_out(Connection& c, std::string_view data);
   void finish_exchange(Connection& c, const HttpExchange& ex);
   void process_lines();
+  [[nodiscard]] std::string oversize_error() const;
   Pending evaluate_line(const std::shared_ptr<Connection>& cp,
                         const std::string& line);
   void dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
                 serve::Service::Admission adm);
-  void enqueue_done(Connection& c, std::string response, bool ordered);
-  void deliver(Connection& c, Pending& p);
   void note_answered();
   void flush_deliverable(Connection& c);
   void drain_completions();
@@ -459,6 +486,7 @@ class Shard {
 
   struct Incoming {
     int fd = -1;
+    int out_fd = -1;  ///< >= 0 for a stdio session
     bool refused = false;
     bool http = false;
   };
@@ -503,9 +531,14 @@ Shard::~Shard() {
   request_stop();
   join();
   for (auto& c : conns_) {
-    if (c->fd >= 0) ::close(c->fd);
+    if (c->fd < 0) continue;
+    ::close(c->fd);
+    if (c->out_fd != c->fd) ::close(c->out_fd);
   }
-  for (const Incoming& in : incoming_) ::close(in.fd);
+  for (const Incoming& in : incoming_) {
+    ::close(in.fd);
+    if (in.out_fd >= 0) ::close(in.out_fd);
+  }
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
 }
@@ -523,10 +556,10 @@ void Shard::join() {
   if (thread_.joinable()) thread_.join();
 }
 
-void Shard::adopt(int fd, bool refused, bool http) {
+void Shard::adopt(int fd, int out_fd, bool refused, bool http) {
   {
     std::lock_guard lock(in_mu_);
-    incoming_.push_back({fd, refused, http});
+    incoming_.push_back({fd, out_fd, refused, http});
   }
   wake();
 }
@@ -564,6 +597,8 @@ void Shard::adopt_incoming() {
   for (const Incoming& inc : in) {
     auto c = std::make_shared<Connection>();
     c->fd = inc.fd;
+    c->stdio = inc.out_fd >= 0;
+    c->out_fd = c->stdio ? inc.out_fd : inc.fd;
     c->http = inc.http;
     c->last_read_us = now_us();
     if (inc.http) {
@@ -578,8 +613,8 @@ void Shard::adopt_incoming() {
           "connection limit (" +
           std::to_string(server_.opts_.max_connections) +
           ") reached; retry later";
+      const std::string body = serve::error_json("", "overloaded", reason) + '\n';
       if (inc.http) {
-        const std::string body = error_line("overloaded", reason);
         std::string farewell;
         http::append_head(farewell, 503, /*keep_alive=*/false,
                           "application/json", body.size(),
@@ -588,7 +623,7 @@ void Shard::adopt_incoming() {
         count_http("other", 503);
         begin_close(*c, Disconnect::Refused, farewell);
       } else {
-        begin_close(*c, Disconnect::Refused, error_line("overloaded", reason));
+        begin_close(*c, Disconnect::Refused, body);
       }
     }
     conns_.push_back(std::move(c));
@@ -613,7 +648,11 @@ void Shard::begin_close(Connection& c, Disconnect cause,
 void Shard::close_now(Connection& c, Disconnect cause) {
   if (c.fd < 0) return;
   ::close(c.fd);
+  if (c.out_fd != c.fd) ::close(c.out_fd);
   c.fd = -1;
+  // A stdio session is the server's whole reason to run: its end is the
+  // server's drain.
+  if (c.stdio) server_.stop();
   server_.open_conns_.fetch_sub(1, std::memory_order_relaxed);
   count_disconnect(cause);
   std::lock_guard lock(server_.stats_mu_);
@@ -634,7 +673,7 @@ void Shard::close_now(Connection& c, Disconnect cause) {
 /// Bytes the event loop reads from one connection per pass.
 constexpr std::size_t kReadBudget = 16 * 1024;
 
-/// Moves what `c`'s socket holds into its read buffer: at most `budget`
+/// Moves what `c`'s input holds into its read buffer: at most `budget`
 /// bytes, and no further once the buffer passes the line bound.  The
 /// event loop passes kReadBudget, so one pass answers at most 16 KiB of
 /// a pipelining client's requests, and the buffers a pass fills (those
@@ -645,11 +684,13 @@ constexpr std::size_t kReadBudget = 16 * 1024;
 /// those pages back in.  The drain passes no budget: it picks up
 /// whatever the kernel already buffered, up to the line bound.
 void Shard::read_ready(Connection& c, std::size_t budget) {
-  char chunk[4096];
+  char chunk[kReadBudget];
   while (budget > 0 && !c.draining && !c.closing &&
          c.rbuf.size() <= server_.opts_.max_line_bytes) {
-    const ssize_t n =
-        ::recv(c.fd, chunk, std::min(sizeof(chunk), budget), 0);
+    // A stdio input may be a blocking fd: it is read once per call, and
+    // only when the read will not wait.
+    if (c.stdio && !readable(c.fd)) return;
+    const ssize_t n = ::read(c.fd, chunk, std::min(sizeof(chunk), budget));
     if (n > 0) {
       budget -= static_cast<std::size_t>(n);
       c.rbuf.append(chunk, static_cast<std::size_t>(n));
@@ -659,10 +700,12 @@ void Shard::read_ready(Connection& c, std::size_t budget) {
       server_.stats_.bytes_in += static_cast<std::uint64_t>(n);
     } else if (n == 0) {
       // EOF: the client is done sending.  Its buffered complete lines are
-      // still answered; a trailing partial line (a client that died
-      // mid-request) is discarded.
+      // still answered.  A trailing partial line is discarded on a socket
+      // (a client that died mid-request); a stdio stream's last line
+      // needs no newline, so it is answered like the others.
       c.draining = true;
       c.cause = Disconnect::Eof;
+      if (c.stdio && !c.rbuf.empty() && c.rbuf.back() != '\n') c.rbuf += '\n';
     } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
       return;
     } else if (errno == EINTR) {
@@ -671,16 +714,8 @@ void Shard::read_ready(Connection& c, std::size_t budget) {
       close_now(c, Disconnect::Error);
       return;
     }
+    if (c.stdio) return;
   }
-}
-
-void Shard::enqueue_done(Connection& c, std::string response, bool ordered) {
-  Pending p;
-  p.seq = c.next_seq++;
-  p.ordered = ordered;
-  p.done = true;
-  p.response = std::move(response);
-  c.pending.push_back(std::move(p));
 }
 
 /// Admits at most one buffered line of `cp`; true when a line was consumed
@@ -690,30 +725,27 @@ bool Shard::admit_one(const std::shared_ptr<Connection>& cp) {
   if (c.fd < 0 || c.closing) return false;
 
   std::string line;
-  if (!take_line(c.rbuf, c.rpos, line)) {
-    // No complete line.  A partial line past the bound can never complete
-    // within it — reject it now rather than buffering forever.
-    if (c.rbuf.size() - c.rpos > server_.opts_.max_line_bytes) {
-      begin_close(c, Disconnect::Oversize,
-                  error_line("overloaded",
-                             "request line exceeds " +
-                                 std::to_string(server_.opts_.max_line_bytes) +
-                                 " bytes"));
-    }
+  const bool whole = take_line(c.rbuf, c.rpos, line);
+  if (whole && blank(line)) return true;  // consumed input, no response owed
+  // A line past the bound — or a partial one, which can never complete
+  // within it — is rejected now rather than buffered forever.
+  if (whole ? line.size() > server_.opts_.max_line_bytes
+            : c.rbuf.size() - c.rpos > server_.opts_.max_line_bytes) {
+    begin_close(c, Disconnect::Oversize, oversize_error() + '\n');
     return false;
   }
-  if (blank(line)) return true;  // consumed input, no response owed
-  if (line.size() > server_.opts_.max_line_bytes) {
-    begin_close(c, Disconnect::Oversize,
-                error_line("overloaded",
-                           "request line exceeds " +
-                               std::to_string(server_.opts_.max_line_bytes) +
-                               " bytes"));
-    return false;
-  }
+  if (!whole) return false;
   c.pending.push_back(evaluate_line(cp, line));
   flush_deliverable(c);
   return true;
+}
+
+/// The answer to a request line longer than max_line_bytes.
+std::string Shard::oversize_error() const {
+  return serve::error_json("", "overloaded",
+                           "request line exceeds " +
+                               std::to_string(server_.opts_.max_line_bytes) +
+                               " bytes");
 }
 
 /// The protocol-independent admission core: turns one request line into a
@@ -733,16 +765,13 @@ Pending Shard::evaluate_line(const std::shared_ptr<Connection>& cp,
   if (line.size() > server_.opts_.max_line_bytes) {
     p.ordered = false;
     p.done = true;
-    p.response = error_body(
-        "overloaded", "request line exceeds " +
-                          std::to_string(server_.opts_.max_line_bytes) +
-                          " bytes");
+    p.response = oversize_error();
     return p;
   }
 
-  // Admission bound, checked before the parse exactly like the stdio loop
-  // checks its backlog: compute dispatched and not yet completed past the
-  // service's queue capacity is answered "overloaded" immediately.
+  // Admission bound, checked before the parse: compute dispatched and not
+  // yet completed past the service's queue capacity is answered
+  // "overloaded" immediately.
   if (server_.inflight_.load(std::memory_order_relaxed) >=
       server_.service_.options().queue_capacity) {
     p.ordered = false;
@@ -885,7 +914,7 @@ void Shard::handle_http_request(const std::shared_ptr<Connection>& cp) {
       if (ex.items.empty()) {
         ex.immediate = true;
         ex.status = 400;
-        ex.body = error_line("parse", "empty request body");
+        ex.body = serve::error_json("", "parse", "empty request body") + '\n';
       } else {
         ex.chunked = ex.items.size() > 1;
       }
@@ -908,14 +937,16 @@ void Shard::handle_http_request(const std::shared_ptr<Connection>& cp) {
     case http::Route::NotFound:
       ex.immediate = true;
       ex.status = 404;
-      ex.body = error_line("parse", "no such route; POST /v1/predict, "
-                                    "GET /metrics, GET /healthz");
+      ex.body = serve::error_json("", "parse",
+                                  "no such route; POST /v1/predict, "
+                                  "GET /metrics, GET /healthz") +
+                '\n';
       break;
     case http::Route::MethodNotAllowed:
       ex.immediate = true;
       ex.status = 405;
       ex.allow = match.allow;
-      ex.body = error_line("parse", "method not allowed");
+      ex.body = serve::error_json("", "parse", "method not allowed") + '\n';
       break;
   }
   c.exchanges.push_back(std::move(ex));
@@ -926,7 +957,8 @@ void Shard::handle_http_request(const std::shared_ptr<Connection>& cp) {
 /// boundary, so the connection cannot survive.
 void Shard::fail_http(Connection& c, http::Error err) {
   const int status = http::status_for_error(err);
-  const std::string body = error_line("parse", http::to_string(err));
+  const std::string body =
+      serve::error_json("", "parse", http::to_string(err)) + '\n';
   std::string farewell;
   http::append_head(farewell, status, /*keep_alive=*/false,
                     "application/json", body.size());
@@ -1016,38 +1048,19 @@ void Shard::flush_http(Connection& c) {
       }
     }
 
-    // Chunked streaming: unordered (id-carrying) items the moment they
-    // complete, ordered ones only from the front cursor.
+    // Chunked streaming under the raw wire's ordering contract, the front
+    // cursor marking the delivered prefix.
     std::string& chunk = http_scratch_;  // head is already flushed out
-    for (std::size_t i = ex.next_item; i < ex.items.size(); ++i) {
-      Pending& p = ex.items[i];
-      if (!p.ordered && p.done && !p.delivered) {
-        p.response += '\n';
-        chunk.clear();
-        http::append_chunk(chunk, p.response);
-        if (!append_out(c, chunk)) return;
-        p.delivered = true;
-        note_answered();
-      }
-    }
-    while (ex.next_item < ex.items.size()) {
-      Pending& front = ex.items[ex.next_item];
-      if (front.delivered) {
-        ++ex.next_item;
-        continue;
-      }
-      if (front.ordered && front.done) {
-        front.response += '\n';
-        chunk.clear();
-        http::append_chunk(chunk, front.response);
-        if (!append_out(c, chunk)) return;
-        front.delivered = true;
-        note_answered();
-        ++ex.next_item;
-        continue;
-      }
-      break;
-    }
+    ex.next_item = deliver_ready(ex.items, ex.next_item, [&](Pending& p) {
+      p.response += '\n';
+      chunk.clear();
+      http::append_chunk(chunk, p.response);
+      if (!append_out(c, chunk)) return false;
+      p.delivered = true;
+      note_answered();
+      return true;
+    });
+    if (c.fd < 0) return;
     if (ex.next_item < ex.items.size()) break;  // still waiting on compute
     if (!append_out(c, http::kLastChunk)) return;
     finish_exchange(c, ex);
@@ -1092,38 +1105,21 @@ void Shard::note_answered() {
   ++server_.stats_.shard_answered[index_];
 }
 
-void Shard::deliver(Connection& c, Pending& p) {
-  p.delivered = true;
-  if (c.fd < 0 || c.closing) return;  // response owed to no one now
-  if (!make_room(c, p.response.size() + 1)) return;
-  c.wbuf += p.response;
-  c.wbuf += '\n';
-  note_answered();
-}
-
+/// Delivers what the raw wire's ordering contract allows, one response
+/// line per request, and drops the delivered prefix.
 void Shard::flush_deliverable(Connection& c) {
-  // Unordered (id-carrying) responses deliver the moment they are done,
-  // from any position — the out-of-order completion contract.
-  for (Pending& p : c.pending) {
-    if (c.fd < 0 || c.closing) break;
-    if (!p.ordered && p.done && !p.delivered) deliver(c, p);
-  }
-  // Ordered (id-less) responses only ever deliver from the front, so a
-  // slow ordered request holds its successors back — exactly the stdio
-  // contract a client that sends no ids relies on.
-  while (!c.pending.empty()) {
-    Pending& front = c.pending.front();
-    if (front.delivered) {
-      c.pending.pop_front();
-      continue;
+  const std::size_t delivered = deliver_ready(c.pending, 0, [&](Pending& p) {
+    if (c.fd < 0 || c.closing || !make_room(c, p.response.size() + 1)) {
+      return false;  // response owed to no one now
     }
-    if (front.ordered && front.done && c.fd >= 0 && !c.closing) {
-      deliver(c, front);
-      c.pending.pop_front();
-      continue;
-    }
-    break;
-  }
+    c.wbuf += p.response;
+    c.wbuf += '\n';
+    p.delivered = true;
+    note_answered();
+    return true;
+  });
+  c.pending.erase(c.pending.begin(),
+                  c.pending.begin() + static_cast<std::ptrdiff_t>(delivered));
 }
 
 void Shard::drain_completions() {
@@ -1135,13 +1131,14 @@ void Shard::drain_completions() {
   for (const Completion& done : ready) {
     const std::shared_ptr<Connection> c = done.conn.lock();
     if (!c) continue;
-    if (Pending* p = find_pending(*c, done.seq)) {
+    if (Pending* p = find_item(
+            *c, [&](const Pending& q) { return q.seq == done.seq; })) {
       try {
         p->response = p->result.get();
       } catch (const std::exception& e) {
         // complete() promises not to throw; this is the belt to that
         // suspender — the client still gets a structured line.
-        p->response = error_body("internal", e.what());
+        p->response = serve::error_json("", "internal", e.what());
       }
       p->done = true;
     }
@@ -1154,17 +1151,24 @@ void Shard::drain_completions() {
 }
 
 /// Sends as much of `c`'s write buffer as the socket takes without
-/// blocking; a send error closes the connection.
+/// blocking; a send error closes the connection.  A stdio session's
+/// output is written out whole instead, waiting for a stalled reader:
+/// back-pressure, which stops the shard reading the session's input,
+/// rather than a slow-reader disconnect.
 void Shard::flush_conn(Connection& c) {
   while (c.fd >= 0 && !c.wbuf.empty()) {
-    const ssize_t n = ::send(c.fd, c.wbuf.data(), c.wbuf.size(), MSG_NOSIGNAL);
+    const ssize_t n =
+        c.stdio ? ::write(c.out_fd, c.wbuf.data(), c.wbuf.size())
+                : ::send(c.out_fd, c.wbuf.data(), c.wbuf.size(), MSG_NOSIGNAL);
     if (n > 0) {
       c.wbuf.erase(0, static_cast<std::size_t>(n));
       count_bytes(false, static_cast<std::uint64_t>(n));
       std::lock_guard lock(server_.stats_mu_);
       server_.stats_.bytes_out += static_cast<std::uint64_t>(n);
     } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      break;
+      if (!c.stdio) break;
+      pollfd p{c.out_fd, POLLOUT, 0};  // inherited non-blocking: wait here
+      (void)::poll(&p, 1, -1);
     } else if (n < 0 && errno == EINTR) {
       continue;
     } else {
@@ -1232,11 +1236,13 @@ void Shard::reap_and_time_out() {
         c.partial_since_us = now;
       } else if (now - c.partial_since_us >
                  server_.opts_.header_timeout_ms * 1000.0) {
-        const std::string body = error_line(
-            "timeout",
-            "request not completed within " +
-                std::to_string(server_.opts_.header_timeout_ms) +
-                " ms; closing");
+        const std::string body =
+            serve::error_json(
+                "", "timeout",
+                "request not completed within " +
+                    std::to_string(server_.opts_.header_timeout_ms) +
+                    " ms; closing") +
+            '\n';
         if (c.http) {
           std::string farewell;
           http::append_head(farewell, 408, /*keep_alive=*/false,
@@ -1262,12 +1268,13 @@ void Shard::reap_and_time_out() {
         // like every stock HTTP server does.
         begin_close(c, Disconnect::Idle, "");
       } else {
-        begin_close(c, Disconnect::Idle,
-                    error_line(
-                        "timeout",
-                        "idle for more than " +
-                            std::to_string(server_.opts_.idle_timeout_ms) +
-                            " ms; closing"));
+        begin_close(
+            c, Disconnect::Idle,
+            serve::error_json("", "timeout",
+                              "idle for more than " +
+                                  std::to_string(server_.opts_.idle_timeout_ms) +
+                                  " ms; closing") +
+                '\n');
       }
     }
   }
@@ -1338,26 +1345,11 @@ void Shard::drain() {
   while (true) {
     drain_completions();
     flush_writes();
-    bool undone = false;
-    for (const auto& c : conns_) {
-      if (c->fd < 0) continue;
-      for (const Pending& p : c->pending) {
-        if (!p.done) {
-          undone = true;
-          break;
-        }
-      }
-      for (const HttpExchange& ex : c->exchanges) {
-        for (const Pending& p : ex.items) {
-          if (!p.done) {
-            undone = true;
-            break;
-          }
-        }
-        if (undone) break;
-      }
-      if (undone) break;
-    }
+    const bool undone = std::any_of(
+        conns_.begin(), conns_.end(), [](const std::shared_ptr<Connection>& c) {
+          return c->fd >= 0 &&
+                 find_item(*c, [](const Pending& p) { return !p.done; });
+        });
     if (!undone) break;
     if (wake_fds_[0] >= 0) {
       pollfd wp{wake_fds_[0], POLLIN, 0};
@@ -1390,7 +1382,9 @@ void Shard::drain() {
   while (now_us() < deadline) {
     fds.clear();
     for (const auto& c : conns_) {
-      if (c->fd >= 0 && !c->wbuf.empty()) fds.push_back({c->fd, POLLOUT, 0});
+      if (c->fd >= 0 && !c->wbuf.empty()) {
+        fds.push_back({c->out_fd, POLLOUT, 0});
+      }
     }
     if (fds.empty()) break;
     (void)::poll(fds.data(), static_cast<nfds_t>(fds.size()),
@@ -1464,7 +1458,6 @@ void Server::accept_from(const Listener& listener, bool http) {
   while (true) {
     const int fd = listener.accept_client();
     if (fd < 0) return;
-    count(Count::Connection);
     if (opts_.so_sndbuf > 0) {
       (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts_.so_sndbuf,
                          sizeof(opts_.so_sndbuf));
@@ -1473,16 +1466,27 @@ void Server::accept_from(const Listener& listener, bool http) {
     // owning shard delivers the polite farewell.
     const bool refused =
         open_conns_.load(std::memory_order_relaxed) >= opts_.max_connections;
-    open_conns_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t shard = next_shard_;
     next_shard_ = (next_shard_ + 1) % shards_.size();
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.accepted;
-      ++stats_.shard_connections[shard];
-    }
-    shards_[shard]->adopt(fd, refused, http);
+    hand_to(shard, fd, -1, refused, http);
   }
+}
+
+void Server::hand_to(std::size_t shard, int fd, int out_fd, bool refused,
+                     bool http) {
+  count(Count::Connection);
+  open_conns_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard lock(stats_mu_);
+    ++stats_.accepted;
+    ++stats_.shard_connections[shard];
+  }
+  shards_[shard]->adopt(fd, out_fd, refused, http);
+}
+
+void Server::adopt_stdio(int in_fd, int out_fd) {
+  stdio_in_ = in_fd;
+  stdio_out_ = out_fd;
 }
 
 void Server::run(std::ostream& log) {
@@ -1503,6 +1507,10 @@ void Server::run(std::ostream& log) {
     shards_.push_back(std::make_unique<detail::Shard>(*this, i));
   }
   for (auto& s : shards_) s->start();
+  if (stdio_in_ >= 0) {
+    hand_to(0, std::exchange(stdio_in_, -1), std::exchange(stdio_out_, -1),
+            /*refused=*/false, /*http=*/false);
+  }
 
   while (!stop_requested()) {
     pollfd lps[2];
@@ -1519,7 +1527,7 @@ void Server::run(std::ostream& log) {
   // Drain: stop accepting, then let every shard answer what it owes
   // (buffered complete lines and in-flight futures) before the pool and
   // the flusher wind down — the flusher's destructor performs the final
-  // cache checkpoint.
+  // cache checkpoint, on this thread.
   listener_.close();
   http_listener_.close();
   for (auto& s : shards_) s->request_stop();
@@ -1540,6 +1548,11 @@ void Server::run(std::ostream& log) {
       << s.disconnect_slow_reader << " slow-reader, "
       << s.disconnect_refused << " refused, " << s.disconnect_error
       << " error, " << s.disconnect_drained << " drained\n";
+  const serve::ServiceStats v = service_.stats();
+  log << "serve: drained — " << v.received << " received, " << v.ok << " ok, "
+      << v.parse_errors + v.lint_rejected << " rejected, " << v.timeouts
+      << " timed out, " << v.overloaded << " overloaded, " << v.cache_hits
+      << " cache hits\n";
 }
 
 }  // namespace rvhpc::net

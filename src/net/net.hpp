@@ -1,13 +1,14 @@
 #pragma once
-// rvhpc::net — sharded TCP transport and multi-client front end.
+// rvhpc::net — the sharded front end behind every live rvhpc-serve.
 //
-// rvhpc-serve's stdio listener serves exactly one client: whoever owns the
-// pipe.  This module puts the same Service behind a loopback TCP socket so
-// the persistent prediction cache becomes a shared resource — many
-// concurrent clients, one resident cache, one process paying each
-// predict() once.  The protocol is unchanged: line-delimited JSON requests
-// in (including per-request "backend" selection — serve/service.hpp is
-// the schema), one JSON response line per request out.
+// This module puts a Service behind loopback TCP sockets so the
+// persistent prediction cache becomes a shared resource — many concurrent
+// clients, one resident cache, one process paying each predict() once.
+// The protocol: line-delimited JSON requests in (including per-request
+// "backend" selection — serve/service.hpp is the schema), one JSON
+// response line per request out.  rvhpc-serve's stdio front end is one
+// more connection on the same shards (Server::adopt_stdio): a pipe pair
+// instead of a socket, with no listener at all.
 //
 // The same shards optionally serve HTTP/1.1 on a second listener
 // (ServerOptions::http): POST /v1/predict carries one request line or a
@@ -40,18 +41,19 @@
 // the next poll tick.  Responses complete out of order per connection:
 // requests carrying an "id" are answered as soon as their future resolves
 // (the id is echoed so clients can match), requests without an "id" keep
-// the in-order contract stdio replay relies on.  Warm requests are
+// the in-order contract a client that cannot match ids relies on.  Warm requests are
 // completed inline on the shard (a memo probe, no pool handoff), so one
 // slow uncached prediction never stalls cached hits — on the same
 // connection or any other.  The periodic persistent-cache checkpoint runs
-// on a dedicated background flusher thread, never on an event loop.
+// on a dedicated background flusher thread, never on an event loop; the
+// drain's checkpoint runs on the thread that called run().
 //
-// Bounded-memory contract (unchanged): a request line longer than
-// max_line_bytes answers a structured "overloaded" error and closes; a
-// client that stops reading until max_write_buffer fills is disconnected;
-// a connection idle past idle_timeout_ms is told "timeout" and closed;
-// compute in flight past the service's queue_capacity answers
-// "overloaded" at admission.  Nothing about a misbehaving peer can grow
+// Bounded-memory contract: a request line longer than max_line_bytes
+// answers a structured "overloaded" error and closes; a socket client
+// that stops reading until max_write_buffer fills is disconnected (a
+// stdio session is back-pressured instead); a connection idle past
+// idle_timeout_ms is told "timeout" and closed; compute in flight past
+// the service's queue_capacity answers "overloaded" at admission.  Nothing about a misbehaving peer can grow
 // server state without bound or wedge a loop.
 //
 // Shutdown: SIGTERM/SIGINT (serve::install_shutdown_handlers) or stop()
@@ -130,7 +132,8 @@ struct ServerOptions {
   /// Write-buffer bound per connection: responses a slow reader has not
   /// drained.  A response that would exceed it first flushes the buffer
   /// to the socket; only if it still does not fit (the kernel's buffers
-  /// are full too) is the client disconnected.
+  /// are full too) is the client disconnected.  A stdio session's flush
+  /// waits for its reader, so the bound never drops it.
   std::size_t max_write_buffer = 256 * 1024;
   /// SO_SNDBUF for accepted sockets; 0 keeps the kernel default.  The
   /// slow-reader bound only trips once the kernel's send buffer is full,
@@ -231,11 +234,24 @@ class Server {
     return http_listener_.port();
   }
 
+  /// Serves one request stream read from `in_fd` and answered on
+  /// `out_fd` — rvhpc-serve's stdio front end — as a connection on shard
+  /// 0.  Call before run(), which then drains and returns when the
+  /// session ends: EOF on `in_fd` with every request answered, an
+  /// oversized line, or stop()/SIGTERM.  The server owns both fds from
+  /// here on and closes them when the session ends, but leaves their
+  /// file-status flags as it found them.  Unlike a socket, the session
+  /// answers a final line that has no newline, and a reader that stalls
+  /// is back-pressured (the shard waits for it and stops reading
+  /// `in_fd`) rather than dropped as a slow reader.
+  void adopt_stdio(int in_fd, int out_fd);
+
   /// Accept loop: spawns the shards, the compute pool and the background
-  /// cache flusher, then deals accepted sockets round-robin until stop()
-  /// or serve::shutdown_requested().  Drains (buffered requests answered,
-  /// in-flight futures completed, write buffers and the persistent cache
-  /// flushed) and logs a "net: drained" summary before returning.
+  /// cache flusher, then deals accepted sockets round-robin until stop(),
+  /// serve::shutdown_requested() or the end of an adopted stdio session.
+  /// Drains (buffered requests answered, in-flight futures completed,
+  /// write buffers and, on this thread, the persistent cache flushed) and
+  /// logs "net: drained" and "serve: drained" summaries before returning.
   void run(std::ostream& log);
 
   /// Requests the same graceful drain SIGTERM does (thread-safe).
@@ -249,6 +265,9 @@ class Server {
 
   void accept_pending();
   void accept_from(const Listener& listener, bool http);
+  /// Books one new connection and deals it to `shard` (Shard::adopt).
+  void hand_to(std::size_t shard, int fd, int out_fd, bool refused,
+               bool http);
   void publish_gauges() const;
 
   serve::Service& service_;
@@ -259,6 +278,8 @@ class Server {
   std::unique_ptr<engine::ThreadPool> pool_;
   std::unique_ptr<detail::CacheFlusher> flusher_;
   std::size_t next_shard_ = 0;  ///< round-robin deal cursor
+  int stdio_in_ = -1;   ///< adopt_stdio()'s fds, until run() deals them
+  int stdio_out_ = -1;
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> open_conns_{0};  ///< across shards (cap check)
   std::atomic<std::size_t> inflight_{0};    ///< dispatched, not completed

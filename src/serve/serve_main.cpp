@@ -23,6 +23,9 @@
 // Exit status: 0 on success (including replays with per-request errors —
 // those are *answered*, not fatal), 1 on gate failure, 2 on usage errors.
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -85,14 +88,16 @@ const cli::ToolInfo kTool{
     "  --cache-capacity=N    resident cache entries (default 16384)\n"
     "  --cache-max-entries=N cap entries written to --cache-file; saves trim\n"
     "                        the oldest-LRU overflow first (0 = uncapped)\n"
-    "  --queue=N             live-mode admission bound; requests past it\n"
-    "                        answer \"overloaded\" (default 256)\n"
+    "  --queue=N             live-mode admission bound on computes in\n"
+    "                        flight; requests past it answer \"overloaded\"\n"
+    "                        (default 256)\n"
     "  --timeout-ms=T        default per-request deadline (0 = none)\n"
-    "  --idle-timeout-ms=T   tcp only: disconnect clients idle for T ms\n"
-    "                        (0 = never, the default)\n"
-    "  --header-timeout-ms=T tcp/http: disconnect clients that start a\n"
-    "                        request but do not finish framing it within T\n"
-    "                        ms (slow loris; 0 = never, the default).\n"
+    "  --idle-timeout-ms=T   disconnect clients (or end the stdio session)\n"
+    "                        idle for T ms (0 = never, the default)\n"
+    "  --header-timeout-ms=T disconnect clients (or end the stdio session)\n"
+    "                        that start a request but do not finish\n"
+    "                        framing it within T ms (slow loris; 0 = never,\n"
+    "                        the default).\n"
     "                        Distinct from --idle-timeout-ms, which a\n"
     "                        dripped byte resets\n"
     "  --checkpoint-every=N  checkpoint the cache every N evaluations\n"
@@ -257,16 +262,6 @@ int run_gate() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Before any stream I/O.  Synchronised with C stdio, std::cin reads a
-  // --listen=stdio request line one locked getc() at a time; unsynchronised
-  // it reads in blocks.  Both ties go too.  A tied cin flushes cout before
-  // each read, so the reader blocks on a full stdout pipe while the client
-  // is still writing its window of requests and not yet reading: a
-  // deadlock.  A tied cerr flushes cout whenever a worker logs a
-  // checkpoint, outside the lock the response writers hold.
-  std::ios::sync_with_stdio(false);
-  std::cin.tie(nullptr);
-  std::cerr.tie(nullptr);
   if (cli::handle_standard_flags(argc, argv, kTool, std::cout)) return 0;
   const int jobs_applied = cli::apply_jobs_flag(argc, argv);
 
@@ -424,10 +419,19 @@ int main(int argc, char** argv) {
 
   obs::set_metrics_enabled(true);
 
+  // --out stands in for stdout: a stream for the replay document, an fd
+  // for a stdio session.
+  const bool stdio = opt.replay_path.empty() && !opt.tcp && !opt.http;
   std::ofstream out_file;
+  int out_fd = STDOUT_FILENO;
   if (!opt.out_path.empty()) {
-    out_file.open(opt.out_path);
-    if (!out_file.good()) {
+    if (stdio) {
+      out_fd = ::open(opt.out_path.c_str(),
+                      O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    } else {
+      out_file.open(opt.out_path);
+    }
+    if (stdio ? out_fd < 0 : !out_file.good()) {
       return usage_error("cannot open --out file '" + opt.out_path + "'");
     }
   }
@@ -444,18 +448,21 @@ int main(int argc, char** argv) {
         std::cerr << "rvhpc-serve: " << e.what() << "\n";
         status = 2;
       }
-    } else if (opt.tcp || opt.http) {
+    } else {
+      // Every live front end is the shard core: sockets dealt by the
+      // listeners, or stdin/stdout as one connection with no listener.
       serve::install_shutdown_handlers();
       net::Server server(svc, opt.net);
-      try {
-        server.open(std::cerr);
-      } catch (const std::exception& e) {
-        return usage_error(e.what());
+      if (stdio) {
+        server.adopt_stdio(STDIN_FILENO, out_fd);
+      } else {
+        try {
+          server.open(std::cerr);
+        } catch (const std::exception& e) {
+          return usage_error(e.what());
+        }
       }
       server.run(std::cerr);
-    } else {
-      serve::install_shutdown_handlers();
-      svc.run(std::cin, out, std::cerr);
     }
   }
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <csignal>
 #include <fstream>
-#include <iostream>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -98,9 +97,11 @@ std::string require_string(const obs::json::Value& v, const char* key) {
   return m->str;
 }
 
+}  // namespace
+
 std::string error_json(const std::string& id, const char* kind,
                        const std::string& message,
-                       const std::vector<std::string>& detail = {}) {
+                       const std::vector<std::string>& detail) {
   std::string out = "{\"id\": \"";
   obs::json::append_escaped(out, id);
   out += "\", \"status\": \"error\", \"error\": \"";
@@ -121,8 +122,6 @@ std::string error_json(const std::string& id, const char* kind,
   out += '}';
   return out;
 }
-
-}  // namespace
 
 void install_shutdown_handlers() {
   std::signal(SIGTERM, on_signal);
@@ -298,16 +297,6 @@ Service::Service(Options opts)
     : opts_(std::move(opts)),
       jobs_(opts_.jobs > 0 ? opts_.jobs : engine::default_jobs()),
       cache_(opts_.cache_capacity) {}
-
-Service::~Service() {
-  if (!opts_.cache_file.empty()) {
-    try {
-      (void)save_cache(opts_.cache_file, cache_, opts_.cache_max_entries);
-    } catch (const std::exception& e) {
-      std::cerr << "rvhpc-serve: cache flush failed: " << e.what() << "\n";
-    }
-  }
-}
 
 std::size_t Service::start(std::ostream& log) {
   if (opts_.cache_file.empty()) return 0;
@@ -495,10 +484,6 @@ bool Service::note_evaluation() {
   return false;
 }
 
-void Service::maybe_checkpoint(std::ostream& log) {
-  if (note_evaluation()) flush(log);
-}
-
 void Service::flush(std::ostream& log) {
   if (opts_.cache_file.empty()) return;
   std::lock_guard save_lock(save_mu_);
@@ -514,56 +499,6 @@ void Service::flush(std::ostream& log) {
   } catch (const std::exception& e) {
     log << "serve: WARNING: checkpoint failed: " << e.what() << "\n";
   }
-}
-
-void Service::run(std::istream& in, std::ostream& out, std::ostream& log) {
-  obs::ScopedSpan session_span("serve", "session");
-  engine::ThreadPool pool(jobs_);
-  std::mutex out_mu;
-  std::atomic<std::size_t> pending{0};
-
-  const auto emit = [&](const std::string& response) {
-    std::lock_guard lock(out_mu);
-    out << response << "\n" << std::flush;
-  };
-
-  std::string line;
-  while (!shutdown_requested() && std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-
-    // Bounded backlog: a request beyond the bound is answered immediately
-    // instead of queueing without limit — predictable worst-case memory
-    // and latency under overload.
-    if (pending.load(std::memory_order_relaxed) >= opts_.queue_capacity) {
-      emit(reject_overloaded());
-      continue;
-    }
-
-    pending.fetch_add(1, std::memory_order_relaxed);
-    pool.submit([this, &emit, &log, &pending, line] {
-      // A worker must never throw: any unexpected failure becomes a
-      // structured response, the process stays up.
-      std::string response;
-      try {
-        response = handle_line(line);
-      } catch (const std::exception& e) {
-        response = error_json("", "internal", e.what());
-      }
-      emit(response);
-      pending.fetch_sub(1, std::memory_order_relaxed);
-      maybe_checkpoint(log);
-    });
-  }
-
-  // Graceful drain: EOF or SIGTERM stops admission; everything already
-  // admitted still gets its answer, then the cache hits disk.
-  pool.wait();
-  flush(log);
-  const ServiceStats s = stats();
-  log << "serve: drained — " << s.received << " received, " << s.ok << " ok, "
-      << s.parse_errors + s.lint_rejected << " rejected, " << s.timeouts
-      << " timed out, " << s.overloaded << " overloaded, " << s.cache_hits
-      << " cache hits\n";
 }
 
 std::string Service::replay(const std::string& path, std::ostream& out,

@@ -4,11 +4,12 @@
 // Every prediction tool in the repo so far is a one-shot process: it cold
 // starts, sweeps, and throws the engine's memo cache away on exit.  The
 // Service turns the same engine into a resident server: line-delimited
-// JSON requests come in (stdin or a replay file), are admitted through a
-// bounded backlog into a worker pool, evaluated against a persistent
-// PredictionCache (serve/persist.hpp), and answered with line-delimited
-// JSON responses carrying per-request status, latency and cache-hit
-// attribution.
+// JSON requests are admitted (admit()), evaluated against a persistent
+// PredictionCache (serve/persist.hpp) (complete()), and answered with
+// line-delimited JSON responses carrying per-request status, latency and
+// cache-hit attribution.  The live front ends — stdio, raw TCP and HTTP —
+// are net::Server connections that call those two halves; replay() is
+// the offline reference they are compared against.
 //
 // Request schema (one JSON object per line; DESIGN.md §9.2):
 //   {"id": "r1", "machine": "sg2044", "kernel": "CG", "class": "C",
@@ -40,11 +41,11 @@
 // cold and a warm replay of the same log are byte-identical (the
 // acceptance gate scripts/check.sh enforces).
 //
-// Robustness semantics (ISSUE 4): malformed JSON, lint-rejected machines,
-// expired deadlines, a full backlog and a corrupt cache file all produce
+// Robustness semantics: malformed JSON, lint-rejected machines, expired
+// deadlines, a full backlog and a corrupt cache file all produce
 // structured error responses or logged warnings — never a crash, never a
-// silently dropped request.  EOF or SIGTERM drains the backlog, flushes
-// the cache to disk and exits cleanly.
+// silently dropped request.  A drain (net::Server) or a replay writes the
+// cache file; destroying a Service does not.
 
 #include <cstddef>
 #include <cstdint>
@@ -80,16 +81,17 @@ class Service {
     /// Worker threads evaluating admitted requests; <= 0 means
     /// engine::default_jobs() (RVHPC_JOBS or hardware_concurrency).
     int jobs = 0;
-    /// Maximum requests admitted but not yet answered (live mode).  A
-    /// request arriving past this bound is answered "overloaded"
-    /// immediately.  0 rejects everything — useful for drills and tests.
+    /// Maximum compute phases dispatched to the pool and not yet
+    /// completed (live mode).  A request arriving past this bound is
+    /// answered "overloaded" immediately.  0 rejects everything — useful
+    /// for drills and tests.
     std::size_t queue_capacity = 256;
     /// Deadline applied to requests that do not carry "timeout_ms";
     /// 0 = no deadline.
     double default_timeout_ms = 0.0;
     /// Persistent cache file: loaded on start(), checkpointed every
-    /// `checkpoint_every` evaluations, flushed on shutdown.  Empty =
-    /// in-process cache only.
+    /// `checkpoint_every` evaluations, flushed by a drain or a replay.
+    /// Empty = in-process cache only.
     std::string cache_file;
     std::size_t cache_capacity = engine::PredictionCache::kDefaultCapacity;
     /// Cap on entries *written* to the cache file: saves trim the
@@ -102,13 +104,11 @@ class Service {
     /// always pass; this guards inline "machine_text" descriptions).
     bool lint_admission = true;
     /// Emit "cache" and "latency_us" response fields.  True for the live
-    /// loop; replay() forces false so its output is deterministic.
+    /// front ends; replay() forces false so its output is deterministic.
     bool live_fields = true;
   };
 
   explicit Service(Options opts);
-  /// Flushes the persistent cache (best-effort; errors to stderr).
-  ~Service();
 
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
@@ -119,14 +119,11 @@ class Service {
   /// restored.
   std::size_t start(std::ostream& log);
 
-  /// Serves `in` until EOF or shutdown_requested(): one response line per
-  /// request line, written to `out` in completion order, then drains the
-  /// pool and flushes the cache.
-  void run(std::istream& in, std::ostream& out, std::ostream& log);
-
   /// Batch-replays a request log: every line is admitted (no backlog
   /// rejection — replay is offline), evaluated across the pool, and
-  /// answered in *request order* with deterministic fields only.  Returns
+  /// answered in *request order* with deterministic fields only, then the
+  /// cache is flushed.  This is the reference the live front ends are
+  /// compared against (scripts/check.sh `cmp`s them).  Returns
   /// the human-readable summary block (also used by scripts/check.sh:
   /// keep the "cache-hit-rate:" and "cache-restored:" tokens stable).
   std::string replay(const std::string& path, std::ostream& out,
@@ -167,14 +164,12 @@ class Service {
 
   /// Parses, admits and evaluates one request line synchronously,
   /// returning the response JSON (no trailing newline) — admit() +
-  /// complete() back to back.  The stdio run()/replay() path; exposed for
-  /// tests.
+  /// complete() back to back.  The replay() path; exposed for tests.
   [[nodiscard]] std::string handle_line(const std::string& line);
 
-  /// The structured "overloaded" rejection (also counts it): the shared
-  /// shape for every admission-bound front end (stdio backlog, net
-  /// in-flight bound).  `id` is echoed so id-matching clients can pair
-  /// the rejection with its request.
+  /// The structured "overloaded" rejection (also counts it) that the net
+  /// front end's in-flight bound answers.  `id` is echoed so id-matching
+  /// clients can pair the rejection with its request.
   [[nodiscard]] std::string reject_overloaded(const std::string& id = "");
 
   /// Counts one completed evaluation toward the checkpoint period;
@@ -191,20 +186,27 @@ class Service {
   [[nodiscard]] int jobs() const { return jobs_; }
 
  private:
-  void maybe_checkpoint(std::ostream& log);
-
   Options opts_;
   int jobs_;
   engine::PredictionCache cache_;
   mutable std::mutex stats_mu_;
-  std::mutex save_mu_;  ///< serialises checkpoint writes from worker threads
+  std::mutex save_mu_;  ///< serialises flush() calls from different threads
   ServiceStats stats_;
   std::uint64_t since_checkpoint_ = 0;
 };
 
-/// Installs SIGTERM/SIGINT handlers that request a graceful drain: the
-/// run() loop stops admitting after the current line, finishes in-flight
-/// work, flushes the cache and returns.
+/// The structured error response (no trailing newline) every front end
+/// writes, from admission rejections to transport farewells:
+///   {"id": "<id>", "status": "error", "error": "<kind>",
+///    "message": "<message>"}
+/// plus a "detail" array of strings when `detail` is non-empty.
+[[nodiscard]] std::string error_json(
+    const std::string& id, const char* kind, const std::string& message,
+    const std::vector<std::string>& detail = {});
+
+/// Installs SIGTERM/SIGINT handlers that request a graceful drain:
+/// net::Server::run() stops admitting, finishes in-flight work, flushes
+/// the cache and returns.
 void install_shutdown_handlers();
 [[nodiscard]] bool shutdown_requested();
 /// Clears the flag (tests; a fresh run() after a drained one).

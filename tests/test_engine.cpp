@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -389,31 +388,6 @@ TEST(ThreadPool, SubmitFutureDeliversValueAndOwnsItsException) {
       pool.submit_future([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(bad.get(), std::runtime_error);
   EXPECT_NO_THROW(pool.wait());
-}
-
-TEST(ApplyJobsFlag, ParsesValidAndRejectsMalformed) {
-  const char* good[] = {"prog", "--table=3", "--jobs=3"};
-  EXPECT_EQ(engine::apply_jobs_flag(3, const_cast<char**>(good)), 3);
-  EXPECT_EQ(engine::default_evaluator().jobs(), 3);
-
-  const char* absent[] = {"prog", "--verbose"};
-  EXPECT_EQ(engine::apply_jobs_flag(2, const_cast<char**>(absent)), 0);
-
-  // --jobs=0 means "every hardware thread" on every binary (the cli::
-  // wrapper shares these semantics).
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int want_hw = hw > 0 ? static_cast<int>(hw) : 1;
-  const char* zero[] = {"prog", "--jobs=0"};
-  EXPECT_EQ(engine::apply_jobs_flag(2, const_cast<char**>(zero)), want_hw);
-  EXPECT_EQ(engine::default_evaluator().jobs(), want_hw);
-
-  const char* junk[] = {"prog", "--jobs=abc"};
-  EXPECT_EQ(engine::apply_jobs_flag(2, const_cast<char**>(junk)), 0);
-
-  const char* trailing[] = {"prog", "--jobs=4x"};
-  EXPECT_EQ(engine::apply_jobs_flag(2, const_cast<char**>(trailing)), 0);
-
-  engine::set_default_jobs(engine::default_jobs());  // restore for later tests
 }
 
 TEST(DefaultEvaluator, EvaluateOneMatchesDirectPredict) {

@@ -4,19 +4,24 @@
 // their own responses (attributed by id) over one shared Service; a
 // misbehaving peer — oversized line, never-reading client, idle
 // connection, mid-request disconnect — costs bounded memory and a
-// structured goodbye, never a crash or a wedge; and SIGTERM drains like
-// the stdio loop does: buffered requests answered, cache flushed.
+// structured goodbye, never a crash or a wedge; SIGTERM drains: buffered
+// requests answered, cache flushed; and a stdio session is one more
+// connection on the same shards, with the same admission bound, ordering
+// contract and drain.
 //
-// Every test runs a real Server on an ephemeral loopback port with the
-// event loop on a background thread, and drives it with blocking client
-// sockets (5 s receive timeouts so a regression fails instead of
-// hanging).
+// Every socket test runs a real Server on an ephemeral loopback port with
+// the event loop on a background thread, and drives it with blocking
+// client sockets (5 s receive timeouts so a regression fails instead of
+// hanging).  The stdio tests hand the Server a pipe pair instead.
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <charconv>
@@ -787,6 +792,319 @@ TEST(NetServer, ShardFairnessAcrossTwoShards) {
   EXPECT_GT(stats.shard_answered[0], 0u);
   EXPECT_GT(stats.shard_answered[1], 0u);
   EXPECT_EQ(stats.shard_answered[0] + stats.shard_answered[1], 4u);
+}
+
+// --- stdio: one more connection on the shard core -----------------------
+
+/// A Service + Server serving one stdio session over two pipes, the loop on
+/// a background thread, as rvhpc-serve --listen=stdio does with fds 0 and 1:
+/// the test writes requests into `to_server` and reads answers from
+/// `from_server`.  The server owns the other two ends and closes them when
+/// the session ends; run() then returns on its own.
+struct StdioSession {
+  serve::Service service;
+  net::Server server;
+  std::ostringstream log;  ///< read only once run() has returned
+  int to_server = -1;
+  int from_server = -1;
+  int server_in = -1;  ///< the server's ends, open while the session runs
+  int server_out = -1;
+  std::atomic<bool> ended{false};
+  std::string buffered;
+  std::thread loop;
+
+  explicit StdioSession(
+      net::ServerOptions nopts = {},
+      serve::Service::Options sopts = LoopbackServer::one_job())
+      : service(std::move(sopts)), server(service, nopts) {
+    // A write into a pipe the server has closed must fail with EPIPE, not
+    // kill the test binary.
+    std::signal(SIGPIPE, SIG_IGN);
+    int in[2] = {-1, -1};
+    int out[2] = {-1, -1};
+    if (::pipe(in) != 0 || ::pipe(out) != 0) return;
+    server_in = in[0];
+    to_server = in[1];
+    from_server = out[0];
+    server_out = out[1];
+    // The test's own end: send() waits at most 5 s for room, so a server
+    // that stops reading fails the test instead of hanging it.
+    (void)::fcntl(to_server, F_SETFL, O_NONBLOCK);
+    server.adopt_stdio(server_in, server_out);
+    loop = std::thread([this] {
+      server.run(log);
+      ended = true;
+    });
+  }
+
+  ~StdioSession() {
+    // Closing the output first fails a write the server may be waiting
+    // in, so a test that stopped reading cannot hang the join.
+    close_input();
+    if (from_server >= 0) ::close(from_server);
+    server.stop();
+    if (loop.joinable()) loop.join();
+  }
+
+  /// Writes every byte; false once the server has closed its input or
+  /// left no room for 5 s.
+  bool send(const std::string& bytes) const {
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n =
+          ::write(to_server, bytes.data() + off, bytes.size() - off);
+      if (n > 0) {
+        off += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      pollfd p{to_server, POLLOUT, 0};
+      if (n < 0 && errno == EAGAIN && ::poll(&p, 1, 5000) > 0) continue;
+      return false;
+    }
+    return true;
+  }
+
+  void close_input() {
+    if (to_server >= 0) ::close(to_server);
+    to_server = -1;
+  }
+
+  /// One answer line (without '\n'); empty at EOF or after 5 s of silence.
+  std::string read_line() {
+    while (true) {
+      const std::size_t nl = buffered.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = buffered.substr(0, nl);
+        buffered.erase(0, nl + 1);
+        return line;
+      }
+      pollfd p{from_server, POLLIN, 0};
+      if (::poll(&p, 1, 5000) <= 0) return "";
+      char chunk[4096];
+      const ssize_t n = ::read(from_server, chunk, sizeof(chunk));
+      if (n <= 0) return "";
+      buffered.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+  /// Every answer line until the server closes its output.
+  std::string read_all() {
+    std::string all;
+    for (std::string line = read_line(); !line.empty(); line = read_line()) {
+      all += line + '\n';
+    }
+    return all;
+  }
+
+  /// Waits (bounded) for run() to return by itself; joins it if so.
+  bool wait_ended() {
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (!ended && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(2ms);
+    }
+    if (!ended) return false;
+    loop.join();
+    return true;
+  }
+};
+
+// The two Service tests below pin the service contract a stdio client
+// sees — a full admission bound answers "overloaded"; every non-blank line
+// is answered before the drain — through its session on the shard core.
+
+TEST(Service, FullBacklogAnswersOverloaded) {
+  serve::Service::Options sopts = LoopbackServer::one_job();
+  sopts.queue_capacity = 0;  // reject everything: deterministic drill
+  StdioSession s({}, sopts);
+  ASSERT_TRUE(s.send(
+      R"({"id": "o", "machine": "sg2044", "kernel": "CG", "cores": 4})"
+      "\n"));
+  s.close_input();
+  const obs::json::Value v = obs::json::parse(s.read_all());
+  EXPECT_EQ(v.find("status")->str, "error");
+  EXPECT_EQ(v.find("error")->str, "overloaded");
+  ASSERT_TRUE(s.wait_ended());
+  EXPECT_EQ(s.service.stats().overloaded, 1u);
+}
+
+TEST(Service, RunAnswersEveryLineAndDrains) {
+  serve::Service::Options sopts = LoopbackServer::one_job();
+  sopts.jobs = 2;
+  StdioSession s({}, sopts);
+  ASSERT_TRUE(s.send(
+      R"({"id": "1", "machine": "sg2044", "kernel": "CG", "cores": 64})"
+      "\n"
+      "\n"  // blank lines are skipped, not answered
+      "garbage\n"
+      R"({"id": "3", "machine": "sg2042", "kernel": "EP", "cores": 16})"
+      "\n"));
+  s.close_input();
+
+  std::istringstream lines(s.read_all());
+  std::string line;
+  std::size_t count = 0;
+  while (std::getline(lines, line)) {
+    ++count;
+    EXPECT_NO_THROW((void)obs::json::parse(line)) << line;
+  }
+  EXPECT_EQ(count, 3u) << "every non-blank request line gets one response";
+  ASSERT_TRUE(s.wait_ended());
+  EXPECT_EQ(s.service.stats().received, 3u);
+  EXPECT_EQ(s.service.stats().ok, 2u);
+  EXPECT_EQ(s.service.stats().parse_errors, 1u);
+  EXPECT_NE(s.log.str().find("drained"), std::string::npos);
+}
+
+TEST(NetStdio, IdLessLinesAreAnsweredInRequestOrder) {
+  // The pool computes the slow interval request while the cached hits
+  // behind it complete inline; without ids they still come back in the
+  // order they were sent.
+  serve::Service::Options sopts;
+  sopts.jobs = 2;
+  StdioSession s({}, sopts);
+  ASSERT_TRUE(s.send(request_line("", "MG", 8)));  // warm the hit key
+  ASSERT_FALSE(s.read_line().empty());
+
+  std::string batch = slow_line(/*id=*/"", 64);
+  for (int i = 0; i < 3; ++i) batch += request_line("", "MG", 8);
+  ASSERT_TRUE(s.send(batch));
+  std::vector<std::string> backends;
+  for (int i = 0; i < 4; ++i) {
+    const std::string line = s.read_line();
+    ASSERT_FALSE(line.empty());
+    backends.push_back(obs::json::parse(line).find("backend")->str);
+  }
+  const std::vector<std::string> want{"interval", "analytic", "analytic",
+                                      "analytic"};
+  EXPECT_EQ(backends, want)
+      << "id-less answers must come back in request order";
+}
+
+TEST(NetStdio, FinalLineWithoutNewlineIsAnsweredAtEof) {
+  // A socket peer that stops mid-line died mid-request; a stdio stream
+  // that ends without a newline has simply sent its last line.
+  StdioSession s;
+  std::string last = request_line("last", "CG", 32);
+  last.pop_back();
+  ASSERT_TRUE(s.send(request_line("first", "CG", 16) + last));
+  s.close_input();
+
+  std::istringstream lines(s.read_all());
+  std::vector<std::string> ids;
+  for (std::string line; std::getline(lines, line);) {
+    ids.push_back(obs::json::parse(line).find("id")->str);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<std::string>{"first", "last"}));
+  ASSERT_TRUE(s.wait_ended()) << "run() returns when the session ends";
+  EXPECT_EQ(s.server.stats().disconnect_eof, 1u);
+}
+
+TEST(NetStdio, OversizedLineAnswersOverloadedAndEndsTheSession) {
+  net::ServerOptions nopts;
+  nopts.max_line_bytes = 256;
+  StdioSession s(nopts);
+  // A megabyte without a newline: the server stops reading near the
+  // bound, answers, and ends the session, so the rest of the write fails
+  // against the closed pipe.
+  std::thread writer([&s] { (void)s.send(std::string(1 << 20, 'x')); });
+  const std::string line = s.read_line();
+  writer.join();
+  const obs::json::Value v = obs::json::parse(line);
+  EXPECT_EQ(v.find("status")->str, "error");
+  EXPECT_EQ(v.find("error")->str, "overloaded");
+  EXPECT_NE(v.find("message")->str.find("256"), std::string::npos);
+  EXPECT_TRUE(s.read_line().empty()) << "the session ends after the error";
+  ASSERT_TRUE(s.wait_ended()) << "run() returns when the session ends";
+
+  const net::ServerStats stats = s.server.stats();
+  EXPECT_EQ(stats.disconnect_oversize, 1u);
+  EXPECT_LE(stats.bytes_in, 256u + 16u * 1024u)
+      << "the read buffer stays within the line bound plus one read";
+  EXPECT_EQ(s.service.stats().received, 0u);
+}
+
+TEST(NetStdio, StalledReaderIsBackPressuredNotDropped) {
+  net::ServerOptions nopts;
+  nopts.max_write_buffer = 4096;  // about a dozen answers
+  StdioSession s(nopts);
+  const int in_flags = ::fcntl(s.server_in, F_GETFL);
+  const int out_flags = ::fcntl(s.server_out, F_GETFL);
+  ASSERT_TRUE(s.send(request_line("warm", "EP", 8)));
+  ASSERT_FALSE(s.read_line().empty());
+
+  // 2,000 cache hits, whose answers overflow the write bound and the pipe
+  // many times over, sent while nobody reads: the server waits for its
+  // reader and stops reading, so the writer waits too.
+  constexpr int kBurst = 2000;
+  std::string batch;
+  for (int r = 0; r < kBurst; ++r) {
+    std::string id = "b";  // (two-step concat dodges GCC bug 105651)
+    id += std::to_string(r);
+    batch.append(request_line(id, "EP", 8));
+  }
+  std::atomic<bool> sent{false};
+  std::thread writer([&] {
+    sent = s.send(batch);
+    s.close_input();
+  });
+  std::this_thread::sleep_for(300ms);
+  // Mid-session: the server has not touched the flags of its fds.
+  EXPECT_EQ(::fcntl(s.server_in, F_GETFL), in_flags);
+  EXPECT_EQ(::fcntl(s.server_out, F_GETFL), out_flags);
+
+  std::vector<int> seen(kBurst, 0);
+  int answered = 0;
+  for (std::string line = s.read_line(); !line.empty();
+       line = s.read_line()) {
+    bool hit = false;
+    const int r = burst_answer(line, kBurst, hit);
+    if (r < 0) {
+      ADD_FAILURE() << "unexpected answer: " << line;
+      continue;
+    }
+    ++seen[static_cast<std::size_t>(r)];
+    ++answered;
+  }
+  writer.join();
+  EXPECT_TRUE(sent.load());
+  EXPECT_EQ(answered, kBurst);
+  for (int r = 0; r < kBurst; ++r) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(r)], 1) << "id b" << r;
+  }
+  ASSERT_TRUE(s.wait_ended());
+  EXPECT_EQ(s.service.stats().overloaded, 0u);
+  EXPECT_EQ(s.server.stats().disconnect_slow_reader, 0u);
+  EXPECT_EQ(s.server.stats().disconnect_eof, 1u);
+}
+
+TEST(NetStdio, SigtermDrainCheckpointsOnceAndLogsTheDrain) {
+  TempFile cache("test_net_stdio_sigterm_cache.tmp.bin");
+  serve::install_shutdown_handlers();
+  serve::reset_shutdown();
+  serve::Service::Options sopts = LoopbackServer::one_job();
+  sopts.cache_file = cache.path;
+  {
+    StdioSession s({}, sopts);
+    ASSERT_TRUE(s.send(request_line("d", "CG", 8)));
+    ASSERT_FALSE(s.read_line().empty());
+    std::raise(SIGTERM);  // stdin still open: the drain ends the session
+    ASSERT_TRUE(s.wait_ended());
+    EXPECT_TRUE(s.read_line().empty()) << "the drain closes the output";
+
+    const std::string log = s.log.str();
+    const std::string saved = "serve: checkpointed 1 cache entry";
+    const std::size_t first = log.find(saved);
+    EXPECT_NE(first, std::string::npos) << log;
+    EXPECT_EQ(log.find(saved, first + 1), std::string::npos)
+        << "one save per drain:\n" << log;
+    EXPECT_NE(log.find("serve: drained"), std::string::npos);
+    // Destroying the Service must not write the file the drain wrote.
+    std::remove(cache.path.c_str());
+  }
+  EXPECT_NE(::access(cache.path.c_str(), F_OK), 0);
+  serve::reset_shutdown();
 }
 
 }  // namespace

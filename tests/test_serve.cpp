@@ -3,8 +3,9 @@
 // The load-bearing guarantees: the cache file round-trips bit-exactly and
 // all-or-nothing (a damaged file restores nothing and is never fatal), LRU
 // recency survives save/load, and the service answers *every* request line
-// with structured JSON — malformed input, lint rejections, timeouts and
-// overload included — without ever throwing out of the serving loop.
+// with structured JSON — malformed input, lint rejections and timeouts
+// included — without ever throwing.  The live front end's admission bound
+// and drain are net::Server's, tested over a stdio pipe pair in test_net.
 
 #include <bit>
 #include <cstdint>
@@ -425,49 +426,6 @@ TEST(Service, ExpiredDeadlineAnswersTimeout) {
   EXPECT_EQ(v.find("status")->str, "error");
   EXPECT_EQ(v.find("error")->str, "timeout");
   EXPECT_EQ(svc.stats().timeouts, 1u);
-}
-
-TEST(Service, FullBacklogAnswersOverloaded) {
-  serve::Service::Options opts = no_persist();
-  opts.queue_capacity = 0;  // reject everything: deterministic drill
-  serve::Service svc(opts);
-  std::istringstream in(
-      R"({"id": "o", "machine": "sg2044", "kernel": "CG", "cores": 4})"
-      "\n");
-  std::ostringstream out, log;
-  svc.run(in, out, log);
-  const auto v = parsed(out.str());
-  EXPECT_EQ(v.find("status")->str, "error");
-  EXPECT_EQ(v.find("error")->str, "overloaded");
-  EXPECT_EQ(svc.stats().overloaded, 1u);
-}
-
-TEST(Service, RunAnswersEveryLineAndDrains) {
-  serve::Service::Options opts = no_persist();
-  opts.jobs = 2;
-  serve::Service svc(opts);
-  std::istringstream in(
-      R"({"id": "1", "machine": "sg2044", "kernel": "CG", "cores": 64})"
-      "\n"
-      "\n"  // blank lines are skipped, not answered
-      "garbage\n"
-      R"({"id": "3", "machine": "sg2042", "kernel": "EP", "cores": 16})"
-      "\n");
-  std::ostringstream out, log;
-  svc.run(in, out, log);
-
-  std::istringstream lines(out.str());
-  std::string line;
-  std::size_t count = 0;
-  while (std::getline(lines, line)) {
-    ++count;
-    EXPECT_NO_THROW((void)obs::json::parse(line)) << line;
-  }
-  EXPECT_EQ(count, 3u) << "every non-blank request line gets one response";
-  EXPECT_EQ(svc.stats().received, 3u);
-  EXPECT_EQ(svc.stats().ok, 2u);
-  EXPECT_EQ(svc.stats().parse_errors, 1u);
-  EXPECT_NE(log.str().find("drained"), std::string::npos);
 }
 
 // --- replay over the checked-in fixture ----------------------------------

@@ -5,13 +5,11 @@
 // pre-topology code on both backends, because cross_traffic() returns a
 // zero remote fraction and neither charging branch is taken.  These
 // tests pin that guarantee, the serializer's opt-in round-trip, the
-// line-numbered structural rejects, the A3xx lint pack, the direction of
-// the charge on the new registry machines, and the ThreadPool placement
-// gate.
+// line-numbered structural rejects, the A3xx lint pack and the direction
+// of the charge on the new registry machines.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -21,7 +19,6 @@
 #include "arch/registry.hpp"
 #include "arch/serialize.hpp"
 #include "arch/validate.hpp"
-#include "engine/thread_pool.hpp"
 #include "model/predictor.hpp"
 #include "model/signatures.hpp"
 #include "obs/trace.hpp"
@@ -403,40 +400,4 @@ TEST(TopoCharging, DualSocketShapeSplitsByBottleneck) {
   const double e64 = at(Kernel::EP, 64).mops;
   const double e128 = at(Kernel::EP, 128).mops;
   EXPECT_GT(e128, 1.5 * e64);  // compute never crosses the link
-}
-
-// --- engine placement hints -------------------------------------------------
-
-TEST(TopoPlacement, HintsFollowTheMachineTopology) {
-  EXPECT_EQ(engine::placement_for(arch::machine(MachineId::Sg2044)).domains, 1);
-  EXPECT_EQ(engine::placement_for(arch::machine(MachineId::Sg2044Dual)).domains,
-            2);
-  EXPECT_EQ(
-      engine::placement_for(arch::machine(MachineId::MonteCimoneV3)).domains,
-      4);
-}
-
-TEST(TopoPlacement, UnhintedPoolReportsNoPlacement) {
-  engine::ThreadPool pool(4);
-  EXPECT_EQ(pool.placed_workers(), 0);
-  EXPECT_EQ(pool.domain_of(3), 0);
-}
-
-TEST(TopoPlacement, HintedPoolStillRunsEveryTaskOnAnyHost) {
-  // Whether or not the host lets us pin (single-CPU CI must not), the
-  // pool's execution contract is unchanged.
-  engine::PlacementHints hints;
-  hints.domains = 2;
-  engine::ThreadPool pool(4, hints);
-  EXPECT_EQ(pool.domain_of(0), 0);
-  EXPECT_EQ(pool.domain_of(1), 1);
-  EXPECT_EQ(pool.domain_of(2), 0);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) pool.submit([&] { ++ran; });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 64);
-  // Placement is best-effort: either nothing was pinned (gate off or
-  // affinity refused) or at most every worker was.
-  EXPECT_GE(pool.placed_workers(), 0);
-  EXPECT_LE(pool.placed_workers(), pool.size());
 }
