@@ -6,19 +6,22 @@
 # hot-path/syscall findings fail; accepted ones live in
 # scripts/lint_baseline.txt with a reason), runs the full test suite under
 # the sanitizers, smoke-runs every bench binary (so the figure/table
-# generators cannot silently rot), runs rvhpc-lint in --werror mode over
-# the registry, the signature suite, every example .machine file and every
-# bench/example C++ source (B001: no predict sweeps bypassing the engine,
-# plus the S-family), replays the checked-in serve fixture cold
+# generators cannot silently rot) and compares the calibration and
+# topology artifacts they regenerate with the checked-in ones byte for
+# byte (interval predictions unchanged), runs rvhpc-lint in --werror mode
+# over the registry, the signature suite, every example .machine file and
+# every bench/example C++ source (B001: no predict sweeps bypassing the
+# engine, plus the S-family), replays the checked-in serve fixture cold
 # and warm through rvhpc-serve (bit-identical outputs, >= 90% warm cache
 # hits) plus the rvhpc-serve --gate, serves the same fixture over loopback
 # TCP with --shards=2 to two concurrent rvhpc-clients (merged responses
 # byte-identical to the stdio replay, graceful SIGTERM drain), serves it
-# again over HTTP/1.1 (curl batch POST + rvhpc-client --http, /metrics
-# and /healthz probed, graceful drain) and through a live stdio session
-# with two workers and checkpoints (sorted responses byte-identical to
-# the replay; id-less responses byte-identical unsorted), then re-runs the
-# threaded
+# again over HTTP/1.1 (curl batch POST + rvhpc-client --http, /metrics and
+# /healthz probed, graceful drain) and through a live stdio session with
+# two workers and checkpoints (sorted responses byte-identical to the
+# replay; id-less responses byte-identical unsorted), checks that a stdout
+# reader that leaves early ends the stdio session with a drain and a
+# checkpoint instead of killing the server, then re-runs the threaded
 # tests under TSan to catch data races in the thread pool and the net
 # event loop.  Exits non-zero on the first failure.
 #
@@ -93,6 +96,13 @@ if [ "$found_bench" -eq 0 ]; then
   echo "error: no bench binaries found under $build_dir/bench/" >&2
   exit 1
 fi
+
+echo "== interval predictions unchanged: smoke JSON == checked-in JSON"
+# Both artifacts are deterministic (fixed seeds, fixed-precision numbers,
+# no timestamps), so a change to the interval backend or to memsim that
+# moves any prediction by one printed digit fails here.
+cmp "$build_dir/BENCH_calibration.smoke.json" "$repo_root/BENCH_calibration.json"
+cmp "$build_dir/BENCH_topo.smoke.json" "$repo_root/BENCH_topo.json"
 
 echo "== rvhpc-lint --werror: registry + signature suite"
 "$build_dir/src/analysis/rvhpc-lint" --werror
@@ -256,6 +266,23 @@ sed 's/"id": "[^"]*", //' "$fixture" > "$serve_tmp/idless.jsonl"
 cmp "$serve_tmp/idless_live.jsonl" "$serve_tmp/idless_replay.jsonl"
 echo "-- $(wc -l < "$serve_tmp/idless_live.jsonl") id-less live stdio" \
   "responses in request order, byte-identical to the replay"
+
+echo "== rvhpc-serve --listen=stdio: a reader that leaves early ends the session"
+# `head -1` exits after the first answer, so a later write fails with
+# EPIPE: the session must end as an error disconnect and the server drain
+# and checkpoint (exit 0, cache file written), not die of SIGPIPE.  The
+# answers to 100 copies of the fixture overflow the pipe many times over.
+for _ in $(seq 1 100); do cat "$fixture"; done > "$serve_tmp/many.jsonl"
+pipe_status=0
+"$serve" --no-live-fields --cache-file="$serve_tmp/pipe.cache" \
+  < "$serve_tmp/many.jsonl" 2> "$serve_tmp/pipe.log" | head -1 > /dev/null \
+  || pipe_status=$?
+if [ "$pipe_status" -ne 0 ] || [ ! -s "$serve_tmp/pipe.cache" ]; then
+  echo "error: rvhpc-serve | head -1 exited $pipe_status or wrote no cache file" >&2
+  exit 1
+fi
+grep -q "1 error, 0 drained" "$serve_tmp/pipe.log"
+echo "-- exit 0, cache file written, the session ended as an error disconnect"
 
 echo "== configure (TSan) -> $build_dir-tsan"
 # TSan cannot combine with ASan, so the thread pool's owners get their own

@@ -5,6 +5,13 @@
 // profile (and cross-checks the analytic model's cache assumptions).
 // Caches are write-back / write-allocate, which matches the machines in
 // the study.
+//
+// Storage grows with the sets a run touches: a set's ways are allocated
+// on its first access, so an interval-backend call that makes a few
+// thousand accesses against a many-MiB slice never zero-fills the whole
+// capacity.  Once 1/8 of the sets are touched the cache moves to a dense
+// set-ordered array, which long traces (the Table 1 stall profiler's
+// millions of accesses) address directly.
 
 #include <cstdint>
 #include <vector>
@@ -71,10 +78,20 @@ class Cache {
  private:
   struct Line {
     std::uint64_t tag = 0;
-    std::uint64_t lru = 0;   ///< last-touch stamp; smallest = LRU victim
+    std::uint64_t lru = 0;   ///< last-touch stamp: unique and >= 1 while
+                             ///< valid, 0 while invalid
     bool valid = false;
     bool dirty = false;
   };
+
+  /// The dense switch: a cache whose touched sets reach sets_ /
+  /// kDenseDivisor copies its blocks into the dense array.  At 1/8 the
+  /// mean interval call (about 2,500 accesses) stays sparse on every level
+  /// of more than about 20,000 sets, while a stall profile (millions of
+  /// accesses) crosses it during its warmup; until then the pool holds at
+  /// most 1/8 of the dense array.
+  static constexpr std::size_t kDenseDivisor = 8;
+  static constexpr std::size_t kUntouched = static_cast<std::size_t>(-1);
 
   std::size_t size_;
   int assoc_;
@@ -83,12 +100,21 @@ class Cache {
   int line_shift_;
   std::uint64_t stamp_ = 0;
   std::uint64_t coherence_invalidations_ = 0;
-  std::vector<Line> lines_;  ///< sets_ x assoc_, row-major
+  /// Blocks of assoc_ ways.  Before the dense switch: one per touched set
+  /// in first-touch order, found through slot_ (block + 1; 0 = never
+  /// touched).  After it: sets_ blocks in set order, and slot_ is empty.
+  std::vector<Line> lines_;
+  std::vector<std::uint32_t> slot_;
   CacheStats stats_;
 
   [[nodiscard]] std::size_t set_index(std::uint64_t line_addr) const {
     return static_cast<std::size_t>(line_addr % sets_);
   }
+  /// Index in lines_ of set `set`'s first way, or kUntouched.
+  [[nodiscard]] std::size_t block(std::size_t set) const;
+  /// block(set) before the dense switch, allocating the block on the
+  /// set's first touch (which may make the switch).
+  std::size_t touch(std::size_t set);
 };
 
 }  // namespace rvhpc::memsim

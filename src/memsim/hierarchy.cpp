@@ -41,7 +41,10 @@ Hierarchy::Hierarchy(const arch::MachineModel& m, int cores, bool coherent)
   if (cores < 1 || cores > m.cores) {
     throw std::invalid_argument("Hierarchy: core count out of range");
   }
-  for (const arch::CacheLevel& lvl : m.caches) {
+  const std::size_t levels = m.caches.size();
+  chain_.resize(static_cast<std::size_t>(cores) * levels);
+  for (std::size_t level = 0; level < levels; ++level) {
+    const arch::CacheLevel& lvl = m.caches[level];
     const int sharers = std::max(1, lvl.shared_by_cores);
     const int instances = (cores + sharers - 1) / sharers;
     std::vector<std::unique_ptr<Cache>> row;
@@ -50,16 +53,21 @@ Hierarchy::Hierarchy(const arch::MachineModel& m, int cores, bool coherent)
       row.push_back(std::make_unique<Cache>(lvl.size_bytes, lvl.associativity,
                                             lvl.line_bytes));
     }
+    for (int core = 0; core < cores; ++core) {
+      chain_[static_cast<std::size_t>(core) * levels + level] =
+          row[static_cast<std::size_t>(core / sharers)].get();
+    }
     level_caches_.push_back(std::move(row));
-    sharers_.push_back(sharers);
     latencies_.push_back(lvl.latency_cycles);
   }
 }
 
 HitLevel Hierarchy::access(int core, std::uint64_t addr, bool is_write) {
+  const std::size_t levels = level_caches_.size();
+  Cache* const* chain = chain_.data() + static_cast<std::size_t>(core) * levels;
   HitLevel result = HitLevel::Dram;
-  for (std::size_t level = 0; level < level_caches_.size(); ++level) {
-    if (cache_at(level, core).access(addr, is_write).hit) {
+  for (std::size_t level = 0; level < levels; ++level) {
+    if (chain[level]->access(addr, is_write).hit) {
       // Fill upwards so inner levels hold the line next time.
       result = static_cast<HitLevel>(level);
       break;
@@ -68,13 +76,11 @@ HitLevel Hierarchy::access(int core, std::uint64_t addr, bool is_write) {
   if (coherent_ && is_write) {
     // MESI-lite: the writer gains exclusive ownership; every other
     // instance of each non-chip-wide level drops its copy.
-    for (std::size_t level = 0; level < level_caches_.size(); ++level) {
-      auto& row = level_caches_[level];
+    for (std::size_t level = 0; level < levels; ++level) {
+      const auto& row = level_caches_[level];
       if (row.size() <= 1) continue;  // chip-shared level: nothing to do
-      const std::size_t own =
-          static_cast<std::size_t>(core / sharers_[level]);
-      for (std::size_t inst = 0; inst < row.size(); ++inst) {
-        if (inst != own) row[inst]->invalidate(addr);
+      for (const auto& inst : row) {
+        if (inst.get() != chain[level]) inst->invalidate(addr);
       }
     }
   }

@@ -58,11 +58,9 @@ class Hierarchy {
   std::vector<double> latencies_;
   /// level_caches_[level][instance]; instance = core / sharers.
   std::vector<std::vector<std::unique_ptr<Cache>>> level_caches_;
-  std::vector<int> sharers_;
-
-  Cache& cache_at(std::size_t level, int core) {
-    return *level_caches_[level][static_cast<std::size_t>(core / sharers_[level])];
-  }
+  /// chain_[core * levels() + level]: the instance `core` consults at
+  /// `level`, resolved once at construction.
+  std::vector<Cache*> chain_;
 };
 
 }  // namespace rvhpc::memsim

@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -452,6 +453,10 @@ int main(int argc, char** argv) {
       // Every live front end is the shard core: sockets dealt by the
       // listeners, or stdin/stdout as one connection with no listener.
       serve::install_shutdown_handlers();
+      // A stdout reader that leaves early (`| head -1`) must end the stdio
+      // session as an error disconnect, with a drain and a checkpoint, not
+      // kill the process.  Socket sends already pass MSG_NOSIGNAL.
+      std::signal(SIGPIPE, SIG_IGN);
       net::Server server(svc, opt.net);
       if (stdio) {
         server.adopt_stdio(STDIN_FILENO, out_fd);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
+#include <vector>
+
 #include "memsim/cache.hpp"
 
 namespace rvhpc::memsim {
@@ -20,6 +25,8 @@ TEST(Cache, RejectsBadGeometry) {
   EXPECT_THROW(Cache(1024, 0, 64), std::invalid_argument);
   EXPECT_THROW(Cache(1024, 8, 48), std::invalid_argument);   // not pow2 line
   EXPECT_THROW(Cache(1000, 8, 64), std::invalid_argument);   // not divisible
+  // 2^56 sets: block numbers would overflow their 32-bit slots.
+  EXPECT_THROW(Cache(std::size_t{1} << 62, 1, 64), std::invalid_argument);
 }
 
 TEST(Cache, ColdMissThenHit) {
@@ -103,6 +110,123 @@ TEST(Cache, ContainsDoesNotPerturbLru) {
   ASSERT_TRUE(c.contains(0));              // query must not refresh line 0
   const auto r = c.access(4 * 64, false);  // evicts true LRU = line 0
   EXPECT_EQ(r.victim_line, 0u);
+}
+
+// Every access of a seeded read/write/invalidate trace against a
+// reference LRU that keeps each set as a recency list.  The cache has 512
+// sets: the first phase touches 16 of them (under the 1/8 that makes the
+// cache switch to its dense layout) with enough lines to evict, and the
+// second spreads over 4x the capacity, so the trace runs on both layouts
+// and across the switch.  A set no access has touched is empty to every
+// query, and a final flush counts exactly the dirty lines.
+TEST(Cache, MatchesReferenceLruAcrossTheDenseSwitch) {
+  constexpr int kAssoc = 8;
+  constexpr int kLine = 64;
+  constexpr std::size_t kSets = 512;
+  Cache c(kSets * kAssoc * kLine, kAssoc, kLine);
+  ASSERT_EQ(c.sets(), kSets);
+
+  struct Entry {
+    std::uint64_t line;
+    bool dirty;
+  };
+  std::vector<std::deque<Entry>> ref(kSets);  // front = most recent
+  CacheStats want;
+  std::uint64_t want_invalidations = 0;
+  const auto find = [&](std::uint64_t line) {
+    auto& set = ref[line % kSets];
+    return std::find_if(set.begin(), set.end(),
+                        [&](const Entry& e) { return e.line == line; });
+  };
+
+  const auto untouched_set_is_empty = [&c] {
+    const CacheStats before = c.stats();
+    const std::uint64_t invalidations = c.coherence_invalidations();
+    const std::uint64_t addr = 100 * kLine;  // set 100: untouched in phase 1
+    EXPECT_FALSE(c.contains(addr));
+    EXPECT_FALSE(c.invalidate(addr));
+    EXPECT_EQ(c.coherence_invalidations(), invalidations);
+    EXPECT_EQ(c.stats().accesses, before.accesses);
+    EXPECT_EQ(c.stats().writebacks, before.writebacks);
+  };
+  untouched_set_is_empty();
+
+  std::mt19937_64 rng(2044);
+  const std::uint64_t capacity_lines = kSets * kAssoc;
+  for (int i = 0; i < 60000; ++i) {
+    if (i == 2000) untouched_set_is_empty();
+    std::uint64_t line = 0;
+    if (i < 4000) {
+      // Sets 0..15, 4 x assoc distinct lines each.
+      line = (rng() % 16) + kSets * (rng() % (4 * kAssoc));
+    } else {
+      line = rng() % (4 * capacity_lines);
+    }
+    const std::uint64_t addr = line * kLine + rng() % kLine;
+    const unsigned op = static_cast<unsigned>(rng() % 100);
+    auto& set = ref[line % kSets];
+    const auto it = find(line);
+
+    if (op < 3) {  // a coherence invalidation
+      const bool resident = it != set.end();
+      ASSERT_EQ(c.invalidate(addr), resident) << "op " << i;
+      if (resident) {
+        if (it->dirty) ++want.writebacks;
+        ++want_invalidations;
+        set.erase(it);
+      }
+      continue;
+    }
+    const bool is_write = op < 33;
+    const AccessResult got = c.access(addr, is_write);
+    ++want.accesses;
+    if (it != set.end()) {
+      Entry e = *it;
+      e.dirty = e.dirty || is_write;
+      set.erase(it);
+      set.push_front(e);
+      ++want.hits;
+      ASSERT_TRUE(got.hit) << "op " << i;
+      ASSERT_FALSE(got.evicted) << "op " << i;
+      ASSERT_FALSE(got.writeback) << "op " << i;
+      continue;
+    }
+    ++want.misses;
+    ASSERT_FALSE(got.hit) << "op " << i;
+    const bool full = set.size() == static_cast<std::size_t>(kAssoc);
+    ASSERT_EQ(got.evicted, full) << "op " << i;
+    if (full) {
+      const Entry lru = set.back();
+      set.pop_back();
+      ++want.evictions;
+      if (lru.dirty) ++want.writebacks;
+      ASSERT_EQ(got.victim_line, lru.line * kLine) << "op " << i;
+      ASSERT_EQ(got.writeback, lru.dirty) << "op " << i;
+    } else {
+      ASSERT_FALSE(got.writeback) << "op " << i;
+    }
+    set.push_front(Entry{line, is_write});
+  }
+
+  EXPECT_EQ(c.stats().accesses, want.accesses);
+  EXPECT_EQ(c.stats().hits, want.hits);
+  EXPECT_EQ(c.stats().misses, want.misses);
+  EXPECT_EQ(c.stats().evictions, want.evictions);
+  EXPECT_EQ(c.stats().writebacks, want.writebacks);
+  EXPECT_EQ(c.coherence_invalidations(), want_invalidations);
+
+  std::uint64_t dirty = 0;
+  for (const auto& set : ref) {
+    for (const Entry& e : set) {
+      EXPECT_TRUE(c.contains(e.line * kLine));
+      if (e.dirty) ++dirty;
+    }
+  }
+  c.flush();
+  EXPECT_EQ(c.stats().writebacks, want.writebacks + dirty);
+  for (const auto& set : ref) {
+    for (const Entry& e : set) EXPECT_FALSE(c.contains(e.line * kLine));
+  }
 }
 
 TEST(CacheStats, Rates) {

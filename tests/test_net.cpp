@@ -1079,6 +1079,21 @@ TEST(NetStdio, StalledReaderIsBackPressuredNotDropped) {
   EXPECT_EQ(s.server.stats().disconnect_eof, 1u);
 }
 
+TEST(NetStdio, ClosedStdoutEndsTheSessionAsAnError) {
+  // The answers' reader has gone (`rvhpc-serve | head -1`) while stdin is
+  // still open: the next write fails with EPIPE, which ends the session
+  // and drains the server instead of killing it.
+  StdioSession s;
+  ::close(s.from_server);
+  s.from_server = -1;
+  ASSERT_TRUE(s.send(request_line("gone", "CG", 16)));
+  ASSERT_TRUE(s.wait_ended()) << "run() returns when the session ends";
+  const net::ServerStats stats = s.server.stats();
+  EXPECT_EQ(stats.disconnect_error, 1u);
+  EXPECT_EQ(stats.disconnect_eof, 0u);
+  EXPECT_NE(s.log.str().find("serve: drained"), std::string::npos);
+}
+
 TEST(NetStdio, SigtermDrainCheckpointsOnceAndLogsTheDrain) {
   TempFile cache("test_net_stdio_sigterm_cache.tmp.bin");
   serve::install_shutdown_handlers();

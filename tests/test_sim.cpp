@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,8 +24,10 @@
 #include "engine/request.hpp"
 #include "memsim/hierarchy.hpp"
 #include "memsim/profile.hpp"
+#include "model/paper_reference.hpp"
 #include "model/predictor.hpp"
 #include "model/signatures.hpp"
+#include "model/sweep.hpp"
 #include "obs/trace.hpp"
 #include "sim/interval.hpp"
 
@@ -84,6 +89,109 @@ TEST(SimInterval, SeedChangesTheRunButNotItsShape) {
   EXPECT_GT(a.prediction.seconds, 0.0);
   EXPECT_NEAR(a.prediction.seconds / b.prediction.seconds, 1.0, 0.25);
   EXPECT_EQ(a.prediction.breakdown.dominant, b.prediction.breakdown.dominant);
+}
+
+// --- pinned outputs ---------------------------------------------------------
+
+namespace {
+
+/// 64-bit FNV-1a over whole 64-bit words, least significant byte first,
+/// so a pinned value does not depend on the host's byte order.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void byte(unsigned char b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  void word(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  }
+  void real(double v) { word(std::bit_cast<std::uint64_t>(v)); }
+  void text(const std::string& s) {
+    word(s.size());
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+};
+
+void fold(Fnv1a& f, const sim::IntervalReport& r) {
+  const model::Prediction& p = r.prediction;
+  f.word(p.ran);
+  f.text(p.dnr_reason);
+  f.real(p.seconds);
+  f.real(p.mops);
+  f.real(p.achieved_bw_gbs);
+  f.word(p.vector.vectorised);
+  f.real(p.vector.unit_stride_speedup);
+  f.real(p.vector.gather_speedup);
+  f.real(p.vector.blended_speedup);
+  f.real(p.breakdown.compute_s);
+  f.real(p.breakdown.stream_s);
+  f.real(p.breakdown.latency_s);
+  f.real(p.breakdown.sync_s);
+  f.real(p.breakdown.imbalance);
+  f.word(static_cast<std::uint64_t>(p.breakdown.dominant));
+  const sim::IntervalCounters& c = r.counters;
+  f.word(c.measured_ops);
+  f.word(c.accesses);
+  f.word(c.dram_lines);
+  f.word(c.level_hits.size());
+  for (const std::uint64_t hits : c.level_hits) f.word(hits);
+  f.real(c.footprint_scale);
+  f.real(c.dispatch_cycles);
+  f.real(c.stream_stall_cycles);
+  f.real(c.latency_stall_cycles);
+  f.real(c.bw_bound_fraction);
+}
+
+}  // namespace
+
+// Every statistic both memsim consumers report, folded into one value each
+// and pinned, so a change to memsim's storage or routing that moves any
+// simulated count or timing by one bit fails here.  The interval grid is
+// the one perfbench's interval-miss-tcp workload serves: every registry
+// and topology machine, the eight NPB kernels, classes A/B/C, and the
+// smallest, middle and largest power-of-two core counts, at the default
+// IntervalConfig.  The stall profile is Table 1's kernels at
+// BM_StallSimulation's size.
+TEST(SimInterval, PredictionsArePinned) {
+  std::vector<MachineId> machines = arch::all_machines();
+  for (const MachineId id : arch::topo_machines()) machines.push_back(id);
+  Fnv1a interval;
+  std::size_t calls = 0;
+  for (const MachineId id : machines) {
+    const arch::MachineModel& m = arch::machine(id);
+    const std::vector<int> pw = model::power_of_two_cores(m.cores);
+    const std::set<int> cores = {pw.front(), pw[pw.size() / 2], pw.back()};
+    for (const Kernel k : {Kernel::IS, Kernel::MG, Kernel::EP, Kernel::CG,
+                           Kernel::FT, Kernel::BT, Kernel::LU, Kernel::SP}) {
+      for (const ProblemClass c :
+           {ProblemClass::A, ProblemClass::B, ProblemClass::C}) {
+        for (const int n : cores) {
+          fold(interval, sim::simulate(m, model::signature(k, c),
+                                       paper_cfg(m, k, n)));
+          ++calls;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(calls, 936u);
+  EXPECT_EQ(interval.h, 0x9b7acafbd1fb9983ull);
+
+  const arch::MachineModel& xeon = arch::machine(MachineId::Xeon8170);
+  memsim::ProfileConfig pc;
+  pc.cores = 4;
+  pc.ops_per_core = 20000;
+  Fnv1a stalls;
+  for (const auto& row : model::paper::table1()) {
+    const memsim::StallReport r = memsim::simulate_stalls(xeon, row.kernel, pc);
+    stalls.real(r.cache_stall_pct);
+    stalls.real(r.ddr_stall_pct);
+    stalls.real(r.ddr_bw_bound_pct);
+    stalls.real(r.total_cycles);
+    stalls.real(r.l1_hit_rate);
+    stalls.real(r.dram_requests_per_kop);
+  }
+  EXPECT_EQ(stalls.h, 0x9f74c91c3a006199ull);
 }
 
 // --- memsim agreement (satellite 3) -----------------------------------------
