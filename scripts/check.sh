@@ -15,7 +15,8 @@
 # and warm through rvhpc-serve (bit-identical outputs, >= 90% warm cache
 # hits) plus the rvhpc-serve --gate, serves the same fixture over loopback
 # TCP with --shards=2 to two concurrent rvhpc-clients (merged responses
-# byte-identical to the stdio replay, graceful SIGTERM drain), serves it
+# byte-identical to the stdio replay, graceful SIGTERM drain, one labeled
+# metric series per event in its exit dump), serves it
 # again over HTTP/1.1 (curl batch POST + rvhpc-client --http, /metrics and
 # /healthz probed, graceful drain) and through a live stdio session with
 # two workers and checkpoints (sorted responses byte-identical to the
@@ -160,7 +161,8 @@ client="$build_dir/src/net/rvhpc-client"
 awk 'NR % 2 == 1' "$fixture" > "$serve_tmp/half_a.jsonl"
 awk 'NR % 2 == 0' "$fixture" > "$serve_tmp/half_b.jsonl"
 "$serve" --listen=tcp:0 --shards=2 --no-live-fields \
-  --cache-file="$serve_tmp/tcp.cache" 2> "$serve_tmp/net.log" &
+  --cache-file="$serve_tmp/tcp.cache" --metrics="$serve_tmp/tcp.prom" \
+  2> "$serve_tmp/net.log" &
 serve_pid=$!
 port=""
 for _ in $(seq 1 100); do
@@ -190,6 +192,32 @@ cmp "$serve_tmp/tcp_merged.jsonl" "$serve_tmp/stdio_sorted.jsonl"
 grep -q "net: drained" "$serve_tmp/net.log"
 echo "-- $(wc -l < "$serve_tmp/tcp_merged.jsonl") responses over TCP," \
   "byte-identical to the stdio replay; drain was graceful"
+# One labeled series per event in the exit dump: no legacy per-cause or
+# per-shard names, both clients' closes counted as eof and nothing else,
+# and the per-shard answers summing to the drain line's count.
+prom="$serve_tmp/tcp.prom"
+if grep -q -e '^rvhpc_net_disconnects_' -e '^rvhpc_net_shard_' "$prom"; then
+  echo "error: legacy rvhpc_net_disconnects_/rvhpc_net_shard_ series" >&2
+  exit 1
+fi
+grep -qx 'rvhpc_net_disconnect_total{reason="eof"} 2' "$prom"
+if grep '^rvhpc_net_disconnect_total{' "$prom" \
+     | grep -v 'reason="eof"' | awk '$2 != 0' | grep -q .; then
+  echo "error: a non-eof disconnect in the TCP gate:" >&2
+  grep '^rvhpc_net_disconnect_total{' "$prom" >&2
+  exit 1
+fi
+answered="$(sed -n 's/.*net: drained — [0-9]* connection(s), \([0-9]*\) request(s) answered.*/\1/p' \
+  "$serve_tmp/net.log")"
+by_shard="$(awk '/^rvhpc_net_requests_total\{shard="/ { n += $2 } END { print n + 0 }' \
+  "$prom")"
+if [ -z "$answered" ] || [ "$answered" != "$by_shard" ]; then
+  echo "error: rvhpc_net_requests_total{shard} sums to $by_shard," \
+    "the drain line says ${answered:-?}" >&2
+  exit 1
+fi
+echo "-- metrics: 2 eof disconnects, no other cause, $by_shard answers" \
+  "across the shard series"
 
 echo "== rvhpc-serve --http: curl-able predictions match the stdio replay"
 # The HTTP front-end gate: serve the same fixture over HTTP/1.1 — a

@@ -54,6 +54,13 @@ std::vector<ValidationIssue> validate(const MachineModel& m) {
     require(issues, lvl.shared_by_cores >= 1 && lvl.shared_by_cores <= m.cores,
             where, "shared_by_cores must be in [1, cores]");
     require(issues, lvl.latency_cycles > 0, where, "latency must be positive");
+    if (lvl.associativity >= 1 && lvl.line_bytes > 0) {
+      const std::size_t set_bytes = static_cast<std::size_t>(lvl.line_bytes) *
+                                    static_cast<std::size_t>(lvl.associativity);
+      require(issues, lvl.size_bytes / set_bytes <= kMaxCacheSets, where,
+              "more than " + std::to_string(kMaxCacheSets) +
+                  " sets (size / (line x associativity))");
+    }
     if (i > 0) {
       require(issues, lvl.size_bytes >= m.caches[i - 1].size_bytes, where,
               "levels must be ordered smallest to largest");

@@ -7,12 +7,20 @@
 // user-supplied custom machines can be checked before being handed to the
 // performance model.
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "arch/machine.hpp"
 
 namespace rvhpc::arch {
+
+/// Most sets, size_bytes / (line_bytes * associativity), that one cache
+/// level may have.  The interval backend simulates each level with a
+/// 4-byte slot per set (memsim::Cache), so this bounds what an untrusted
+/// machine can make one request allocate: 16 MiB of slots per level.  The
+/// largest shipped level, montecimone-v3's 256 MiB 16-way L3, has 2^18.
+inline constexpr std::size_t kMaxCacheSets = std::size_t{1} << 22;
 
 /// One violated invariant, human-readable.
 struct ValidationIssue {
@@ -21,9 +29,10 @@ struct ValidationIssue {
 };
 
 /// Checks structural invariants of `m` (positive clock/core counts, cache
-/// levels ordered smallest-to-largest with non-decreasing sharing, memory
-/// parameters physically sensible, ...).  Returns all violations; an empty
-/// vector means the model is usable.
+/// levels ordered smallest-to-largest with non-decreasing sharing and at
+/// most kMaxCacheSets sets each, memory parameters physically sensible,
+/// ...).  Returns all violations; an empty vector means the model is
+/// usable.
 [[nodiscard]] std::vector<ValidationIssue> validate(const MachineModel& m);
 
 /// Convenience: true when validate(m) is empty.

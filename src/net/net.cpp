@@ -51,106 +51,6 @@ bool readable(int fd) {
   return ::poll(&p, 1, 0) > 0;
 }
 
-// --- net-level metrics ----------------------------------------------------
-
-enum class Count { Connection, Answered };
-
-void count(Count which, std::uint64_t n = 1) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& conns = obs::Registry::global().counter(
-      "rvhpc_net_connections_total", "TCP connections accepted");
-  static obs::Counter& answered = obs::Registry::global().counter(
-      "rvhpc_net_requests_total", "request lines answered over TCP");
-  switch (which) {
-    case Count::Connection: conns.add(n); break;
-    case Count::Answered:   answered.add(n); break;
-  }
-}
-
-void count_bytes(bool in, std::uint64_t n) {
-  if (!obs::metrics_enabled() || n == 0) return;
-  static obs::Counter& read = obs::Registry::global().counter(
-      "rvhpc_net_bytes_read_total", "payload bytes received over TCP");
-  static obs::Counter& written = obs::Registry::global().counter(
-      "rvhpc_net_bytes_written_total", "response bytes written over TCP");
-  (in ? read : written).add(n);
-}
-
-void count_disconnect(Disconnect cause) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& eof = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_eof_total", "connections closed by the client");
-  static obs::Counter& idle = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_idle_total",
-      "connections dropped by the idle timeout");
-  static obs::Counter& oversize = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_oversize_total",
-      "connections dropped for an oversized request line");
-  static obs::Counter& slow = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_slow_reader_total",
-      "connections dropped for not draining their responses");
-  static obs::Counter& refused = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_refused_total",
-      "connections refused past the connection cap");
-  static obs::Counter& error = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_error_total",
-      "connections dropped on a socket error");
-  static obs::Counter& drained = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_drained_total",
-      "connections open when the server drained");
-  // Newer causes use the labeled-series convention (one metric, a
-  // reason label) rather than minting another _disconnects_<cause>_
-  // name; the legacy names above predate it and stay for dashboards.
-  static obs::Counter& header_timeout = obs::Registry::global().counter(
-      "rvhpc_net_disconnect_total{reason=\"header_timeout\"}",
-      "connections dropped for dribbling a request past the header "
-      "deadline");
-  switch (cause) {
-    case Disconnect::Eof:        eof.add(); break;
-    case Disconnect::Idle:       idle.add(); break;
-    case Disconnect::Oversize:   oversize.add(); break;
-    case Disconnect::SlowReader: slow.add(); break;
-    case Disconnect::Refused:    refused.add(); break;
-    case Disconnect::Error:      error.add(); break;
-    case Disconnect::Drained:    drained.add(); break;
-    case Disconnect::HeaderTimeout: header_timeout.add(); break;
-  }
-}
-
-/// Per-route, per-status HTTP request counter.  The obs registry is a
-/// flat name→instrument map, so Prometheus labels are embedded in the
-/// name; the registry dedupes repeat lookups.
-void count_http(const char* route, int status) {
-  if (!obs::metrics_enabled()) return;
-  // The overwhelmingly common series is a successful predict; caching its
-  // instrument keeps the per-request cost at one compare instead of a
-  // name build plus a locked registry lookup (the http_throughput gate
-  // measures this path against the raw wire).
-  static obs::Counter& predict_ok = obs::Registry::global().counter(
-      "rvhpc_http_requests_total{route=\"/v1/predict\",status=\"200\"}",
-      "HTTP exchanges completed, by route and status");
-  if (status == 200 && std::strcmp(route, "/v1/predict") == 0) {
-    predict_ok.add();
-  } else {
-    std::string name = "rvhpc_http_requests_total{route=\"";
-    name += route;
-    name += "\",status=\"";
-    name += std::to_string(status);
-    name += "\"}";
-    obs::Registry::global()
-        .counter(name, "HTTP exchanges completed, by route and status")
-        .add();
-  }
-}
-
-void observe_http_duration(double start_us) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Histogram& duration = obs::Registry::global().histogram(
-      "rvhpc_http_request_duration_seconds",
-      "wall time from a parsed HTTP request to its response head");
-  duration.observe((now_us() - start_us) / 1e6);
-}
-
 /// Copies the first complete line at or after `pos` in `buf` into `line`
 /// (without the '\n', trailing '\r' stripped) and moves `pos` past it;
 /// false when no newline is buffered yet.
@@ -174,11 +74,11 @@ const char* to_string(Disconnect cause) {
     case Disconnect::Eof:        return "eof";
     case Disconnect::Idle:       return "idle";
     case Disconnect::Oversize:   return "oversize";
-    case Disconnect::SlowReader: return "slow-reader";
+    case Disconnect::SlowReader: return "slow_reader";
     case Disconnect::Refused:    return "refused";
     case Disconnect::Error:      return "error";
     case Disconnect::Drained:    return "drained";
-    case Disconnect::HeaderTimeout: return "header-timeout";
+    case Disconnect::HeaderTimeout: return "header_timeout";
   }
   return "unknown";
 }
@@ -313,6 +213,24 @@ struct Connection {
   std::deque<HttpExchange> exchanges;
 };
 
+namespace {
+
+/// True when `c` owes its peer no further answer: no complete request is
+/// buffered or awaiting delivery (a trailing partial line is not owed).
+bool owes_nothing(const Connection& c) {
+  return c.http ? (c.rbuf.empty() && c.exchanges.empty())
+                : (c.rbuf.find('\n') == std::string::npos && c.pending.empty());
+}
+
+/// True when `c` has ended on its own terms and everything it was owed
+/// has been written: its peer sent EOF and was answered, or its farewell
+/// has been flushed.  It then closes with its own cause.
+bool finished(const Connection& c) {
+  return c.wbuf.empty() && (c.closing || (c.draining && owes_nothing(c)));
+}
+
+}  // namespace
+
 /// The first request of `c` awaiting delivery for which `pred` holds —
 /// on the raw-wire deque or inside any HTTP exchange; null when none.
 template <typename Pred>
@@ -410,6 +328,37 @@ class CacheFlusher {
   std::thread thread_;
 };
 
+// --- ShardBook: one shard's counts ---------------------------------------
+
+constexpr std::size_t kCauses =
+    static_cast<std::size_t>(Disconnect::HeaderTimeout) + 1;
+
+/// The counts of one shard's events, kept for Server::stats().  Only the
+/// shard's thread writes its book, so a count is a relaxed load and store
+/// (tally), not a locked read-modify-write; stats() loads them from any
+/// thread.  Cache-line aligned, so two shards never write the same line.
+struct alignas(64) ShardBook {
+  std::atomic<std::uint64_t> connections{0};  ///< adopted, refused included
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::uint64_t> dispatched{0};
+  std::atomic<std::uint64_t> bytes_in{0};
+  std::atomic<std::uint64_t> bytes_out{0};
+  std::atomic<std::uint64_t> http_requests{0};
+  std::atomic<std::uint64_t> disconnects[kCauses] = {};  ///< by Disconnect
+};
+
+namespace {
+
+/// Counts `n` of one event in the shard's own count, which only the
+/// calling shard thread writes, and in its process series, if any.
+void tally(std::atomic<std::uint64_t>& own, obs::Counter* series = nullptr,
+           std::uint64_t n = 1) {
+  own.store(own.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  if (series) series->add(n);
+}
+
+}  // namespace
+
 // --- Shard: one event loop ------------------------------------------------
 
 /// One poll() loop on its own thread.  The acceptor deals sockets in via
@@ -429,12 +378,12 @@ class Shard {
   void request_stop();
   void join();
 
-  /// Hands a connection to this shard (acceptor thread): an accepted
-  /// socket (`out_fd` < 0), or a stdio session reading `fd` and answering
-  /// on `out_fd`.  `refused` connections get the polite "overloaded"
-  /// farewell (a structured line on the raw wire, a 503 + Retry-After
-  /// over HTTP) and close.  `http` fixes the connection's protocol for
-  /// its lifetime.
+  /// Hands a connection to this shard and counts it toward the connection
+  /// cap (acceptor thread): an accepted socket (`out_fd` < 0), or a stdio
+  /// session reading `fd` and answering on `out_fd`.  `refused`
+  /// connections get the polite "overloaded" farewell (a structured line
+  /// on the raw wire, a 503 + Retry-After over HTTP) and close.  `http`
+  /// fixes the connection's protocol for its lifetime.
   void adopt(int fd, int out_fd, bool refused, bool http);
 
   /// A dispatched compute phase finished (pool thread): queue the
@@ -459,14 +408,14 @@ class Shard {
   void fail_http(Connection& c, http::Error err);
   void flush_http(Connection& c);
   bool append_out(Connection& c, std::string_view data);
-  void finish_exchange(Connection& c, const HttpExchange& ex);
+  void finish_exchange(const HttpExchange& ex);
+  void note_http(const char* route, int status);
   void process_lines();
   [[nodiscard]] std::string oversize_error() const;
   Pending evaluate_line(const std::shared_ptr<Connection>& cp,
                         const std::string& line);
   void dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
                 serve::Service::Admission adm);
-  void note_answered();
   void flush_deliverable(Connection& c);
   void drain_completions();
   void flush_conn(Connection& c);
@@ -479,7 +428,6 @@ class Shard {
   void publish_gauges() const;
 
   Server& server_;
-  const std::size_t index_;
   int wake_fds_[2] = {-1, -1};  ///< [0] read end (polled), [1] write end
   std::thread thread_;
   std::atomic<bool> stop_{false};
@@ -501,29 +449,62 @@ class Shard {
   std::size_t rr_ = 0;       ///< round-robin fairness cursor
   std::string http_scratch_;  ///< response head/chunk build buffer
 
-  obs::Counter* conns_counter_ = nullptr;
-  obs::Counter* reqs_counter_ = nullptr;
+  // Each event is counted once in this shard's book and once in its
+  // process series (rvhpc_net_*, rvhpc_http_*), which the shard resolves
+  // when it is built: every pointer is null while metrics are off.
+  ShardBook& book_;
+  const bool metrics_;
+  obs::Counter* conns_series_ = nullptr;
+  obs::Counter* reqs_series_ = nullptr;
+  obs::Counter* read_series_ = nullptr;
+  obs::Counter* written_series_ = nullptr;
+  obs::Counter* disconnect_series_[kCauses] = {};
   obs::Gauge* depth_gauge_ = nullptr;
+  obs::Histogram* http_duration_ = nullptr;
+  /// rvhpc_http_requests_total{route,status}, each pair looked up on its
+  /// first exchange.
+  struct HttpSeries {
+    const char* route;
+    int status;
+    obs::Counter* counter;
+  };
+  std::vector<HttpSeries> http_series_;
 };
 
 Shard::Shard(Server& server, std::size_t index)
-    : server_(server), index_(index) {
+    : server_(server),
+      book_(server.books_[index]),
+      metrics_(obs::metrics_enabled()) {
   if (::pipe(wake_fds_) == 0) {
     set_nonblocking(wake_fds_[0]);
     set_nonblocking(wake_fds_[1]);
   } else {
     wake_fds_[0] = wake_fds_[1] = -1;  // degraded: poll-timeout latency only
   }
-  if (obs::metrics_enabled()) {
-    auto& reg = obs::Registry::global();
-    const std::string prefix = "rvhpc_net_shard_" + std::to_string(index);
-    conns_counter_ = &reg.counter(prefix + "_connections_total",
-                                  "connections adopted by this shard");
-    reqs_counter_ = &reg.counter(prefix + "_requests_total",
-                                 "response lines delivered by this shard");
-    depth_gauge_ =
-        &reg.gauge(prefix + "_queue_depth_bytes",
-                   "request bytes buffered on this shard, not yet admitted");
+  if (!metrics_) return;
+  auto& reg = obs::Registry::global();
+  const std::string shard = "{shard=\"" + std::to_string(index) + "\"}";
+  conns_series_ = &reg.counter("rvhpc_net_connections_total" + shard,
+                               "connections adopted, by shard");
+  reqs_series_ = &reg.counter("rvhpc_net_requests_total" + shard,
+                              "response lines delivered, by shard");
+  read_series_ = &reg.counter("rvhpc_net_bytes_read_total" + shard,
+                              "payload bytes received, by shard");
+  written_series_ = &reg.counter("rvhpc_net_bytes_written_total" + shard,
+                                 "response bytes written, by shard");
+  depth_gauge_ = &reg.gauge("rvhpc_net_queue_depth_bytes" + shard,
+                            "request bytes buffered, not yet admitted, by "
+                            "shard");
+  for (std::size_t i = 0; i < kCauses; ++i) {
+    disconnect_series_[i] = &reg.counter(
+        std::string("rvhpc_net_disconnect_total{reason=\"") +
+            to_string(static_cast<Disconnect>(i)) + "\"}",
+        "connections closed, by cause");
+  }
+  if (server.opts_.http) {
+    http_duration_ = &reg.histogram(
+        "rvhpc_http_request_duration_seconds",
+        "wall time from a parsed HTTP request to its response head");
   }
 }
 
@@ -557,6 +538,7 @@ void Shard::join() {
 }
 
 void Shard::adopt(int fd, int out_fd, bool refused, bool http) {
+  server_.open_conns_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard lock(in_mu_);
     incoming_.push_back({fd, out_fd, refused, http});
@@ -606,7 +588,7 @@ void Shard::adopt_incoming() {
       limits.max_body = server_.opts_.max_body_bytes;
       c->parser = std::make_unique<http::RequestParser>(limits);
     }
-    if (conns_counter_) conns_counter_->add();
+    tally(book_.connections, conns_series_);
     if (inc.refused) {
       // Polite refusal: a structured answer beats a dangling connect.
       const std::string reason =
@@ -620,7 +602,7 @@ void Shard::adopt_incoming() {
                           "application/json", body.size(),
                           "Retry-After: 1\r\n");
         farewell += body;
-        count_http("other", 503);
+        note_http("other", 503);
         begin_close(*c, Disconnect::Refused, farewell);
       } else {
         begin_close(*c, Disconnect::Refused, body);
@@ -654,20 +636,8 @@ void Shard::close_now(Connection& c, Disconnect cause) {
   // server's drain.
   if (c.stdio) server_.stop();
   server_.open_conns_.fetch_sub(1, std::memory_order_relaxed);
-  count_disconnect(cause);
-  std::lock_guard lock(server_.stats_mu_);
-  switch (cause) {
-    case Disconnect::Eof:        ++server_.stats_.disconnect_eof; break;
-    case Disconnect::Idle:       ++server_.stats_.disconnect_idle; break;
-    case Disconnect::Oversize:   ++server_.stats_.disconnect_oversize; break;
-    case Disconnect::SlowReader: ++server_.stats_.disconnect_slow_reader; break;
-    case Disconnect::Refused:    ++server_.stats_.disconnect_refused; break;
-    case Disconnect::Error:      ++server_.stats_.disconnect_error; break;
-    case Disconnect::Drained:    ++server_.stats_.disconnect_drained; break;
-    case Disconnect::HeaderTimeout:
-      ++server_.stats_.disconnect_header_timeout;
-      break;
-  }
+  const auto i = static_cast<std::size_t>(cause);
+  tally(book_.disconnects[i], disconnect_series_[i]);
 }
 
 /// Bytes the event loop reads from one connection per pass.
@@ -695,9 +665,7 @@ void Shard::read_ready(Connection& c, std::size_t budget) {
       budget -= static_cast<std::size_t>(n);
       c.rbuf.append(chunk, static_cast<std::size_t>(n));
       c.last_read_us = now_us();
-      count_bytes(true, static_cast<std::uint64_t>(n));
-      std::lock_guard lock(server_.stats_mu_);
-      server_.stats_.bytes_in += static_cast<std::uint64_t>(n);
+      tally(book_.bytes_in, read_series_, static_cast<std::uint64_t>(n));
     } else if (n == 0) {
       // EOF: the client is done sending.  Its buffered complete lines are
       // still answered.  A trailing partial line is discarded on a socket
@@ -816,10 +784,7 @@ void Shard::dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
   const std::uint64_t seq = p.seq;
 
   server_.inflight_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard lock(server_.stats_mu_);
-    ++server_.stats_.dispatched;
-  }
+  tally(book_.dispatched);
   std::weak_ptr<Connection> wk = cp;
   server_.pool_->submit([this, task, wk = std::move(wk), seq] {
     (*task)();
@@ -963,23 +928,38 @@ void Shard::fail_http(Connection& c, http::Error err) {
   http::append_head(farewell, status, /*keep_alive=*/false,
                     "application/json", body.size());
   farewell += body;
-  count_http("other", status);
-  {
-    std::lock_guard lock(server_.stats_mu_);
-    ++server_.stats_.http_requests;
-  }
+  note_http("other", status);
   begin_close(c,
               (status == 413 || status == 431) ? Disconnect::Oversize
                                                : Disconnect::Error,
               farewell);
 }
 
-void Shard::finish_exchange(Connection& c, const HttpExchange& ex) {
-  (void)c;
-  count_http(ex.route, ex.status);
-  observe_http_duration(ex.start_us);
-  std::lock_guard lock(server_.stats_mu_);
-  ++server_.stats_.http_requests;
+void Shard::finish_exchange(const HttpExchange& ex) {
+  note_http(ex.route, ex.status);
+  if (http_duration_) http_duration_->observe((now_us() - ex.start_us) / 1e6);
+}
+
+/// Books one HTTP response: the shard's exchange count and its
+/// rvhpc_http_requests_total{route,status} series.
+void Shard::note_http(const char* route, int status) {
+  tally(book_.http_requests);
+  if (!metrics_) return;
+  for (const HttpSeries& s : http_series_) {
+    if (s.status == status && std::strcmp(s.route, route) == 0) {
+      s.counter->add();
+      return;
+    }
+  }
+  std::string name = "rvhpc_http_requests_total{route=\"";
+  name += route;
+  name += "\",status=\"";
+  name += std::to_string(status);
+  name += "\"}";
+  obs::Counter& series = obs::Registry::global().counter(
+      name, "HTTP exchanges completed, by route and status");
+  http_series_.push_back({route, status, &series});
+  series.add();
 }
 
 /// Writes whatever the front exchange can deliver.  Exchanges answer in
@@ -1004,7 +984,7 @@ void Shard::flush_http(Connection& c) {
       ex.body += '\n';
       ex.items.clear();
       ex.immediate = true;
-      note_answered();
+      tally(book_.answered, reqs_series_);
     }
 
     if (!ex.head_sent) {
@@ -1037,7 +1017,7 @@ void Shard::flush_http(Connection& c) {
       if (!append_out(c, head)) return;
       ex.head_sent = true;
       if (!ex.chunked) {
-        finish_exchange(c, ex);
+        finish_exchange(ex);
         const bool keep = ex.keep_alive;
         c.exchanges.pop_front();
         if (!keep) {
@@ -1057,13 +1037,13 @@ void Shard::flush_http(Connection& c) {
       http::append_chunk(chunk, p.response);
       if (!append_out(c, chunk)) return false;
       p.delivered = true;
-      note_answered();
+      tally(book_.answered, reqs_series_);
       return true;
     });
     if (c.fd < 0) return;
     if (ex.next_item < ex.items.size()) break;  // still waiting on compute
     if (!append_out(c, http::kLastChunk)) return;
-    finish_exchange(c, ex);
+    finish_exchange(ex);
     const bool keep = ex.keep_alive;
     c.exchanges.pop_front();
     if (!keep) {
@@ -1095,16 +1075,6 @@ void Shard::process_lines() {
   }
 }
 
-/// Books one delivered response line — shared by the raw wire and every
-/// chunk/body an HTTP exchange streams.
-void Shard::note_answered() {
-  count(Count::Answered);
-  if (reqs_counter_) reqs_counter_->add();
-  std::lock_guard lock(server_.stats_mu_);
-  ++server_.stats_.answered;
-  ++server_.stats_.shard_answered[index_];
-}
-
 /// Delivers what the raw wire's ordering contract allows, one response
 /// line per request, and drops the delivered prefix.
 void Shard::flush_deliverable(Connection& c) {
@@ -1115,7 +1085,7 @@ void Shard::flush_deliverable(Connection& c) {
     c.wbuf += p.response;
     c.wbuf += '\n';
     p.delivered = true;
-    note_answered();
+    tally(book_.answered, reqs_series_);
     return true;
   });
   c.pending.erase(c.pending.begin(),
@@ -1162,9 +1132,7 @@ void Shard::flush_conn(Connection& c) {
                 : ::send(c.out_fd, c.wbuf.data(), c.wbuf.size(), MSG_NOSIGNAL);
     if (n > 0) {
       c.wbuf.erase(0, static_cast<std::size_t>(n));
-      count_bytes(false, static_cast<std::uint64_t>(n));
-      std::lock_guard lock(server_.stats_mu_);
-      server_.stats_.bytes_out += static_cast<std::uint64_t>(n);
+      tally(book_.bytes_out, written_series_, static_cast<std::uint64_t>(n));
     } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       if (!c.stdio) break;
       pollfd p{c.out_fd, POLLOUT, 0};  // inherited non-blocking: wait here
@@ -1205,11 +1173,7 @@ void Shard::reap_and_time_out() {
   for (auto& cp : conns_) {
     Connection& c = *cp;
     if (c.fd < 0) continue;
-    const bool owes_nothing =
-        c.http ? (c.rbuf.empty() && c.exchanges.empty())
-               : (c.rbuf.find('\n') == std::string::npos && c.pending.empty());
-    if ((c.closing || c.draining) && c.wbuf.empty() &&
-        (c.closing || owes_nothing)) {
+    if (finished(c)) {
       close_now(c, c.cause);
       continue;
     }
@@ -1248,11 +1212,7 @@ void Shard::reap_and_time_out() {
           http::append_head(farewell, 408, /*keep_alive=*/false,
                             "application/json", body.size());
           farewell += body;
-          count_http("other", 408);
-          {
-            std::lock_guard lock(server_.stats_mu_);
-            ++server_.stats_.http_requests;
-          }
+          note_http("other", 408);
           begin_close(c, Disconnect::HeaderTimeout, farewell);
         } else {
           begin_close(c, Disconnect::HeaderTimeout, body);
@@ -1394,8 +1354,11 @@ void Shard::drain() {
       return c->fd < 0;
     });
   }
+  // A peer that had finished keeps its own cause; the drain cut off the
+  // rest: still sending, or not reading what it was owed.
   for (auto& c : conns_) {
-    if (c->fd >= 0) close_now(*c, Disconnect::Drained);
+    if (c->fd < 0) continue;
+    close_now(*c, finished(*c) ? c->cause : Disconnect::Drained);
   }
   conns_.clear();
   if (depth_gauge_) depth_gauge_->set(0.0);
@@ -1413,8 +1376,7 @@ Server::Server(serve::Service& service, ServerOptions opts)
   if (opts_.poll_interval_ms <= 0) opts_.poll_interval_ms = 50;
   if (opts_.max_body_bytes == 0) opts_.max_body_bytes = 1;
   if (!opts_.json_listener && !opts_.http) opts_.json_listener = true;
-  stats_.shard_connections.assign(opts_.shards, 0);
-  stats_.shard_answered.assign(opts_.shards, 0);
+  books_ = std::vector<detail::ShardBook>(opts_.shards);
 }
 
 Server::~Server() = default;
@@ -1433,8 +1395,34 @@ void Server::open(std::ostream& log) {
 }
 
 ServerStats Server::stats() const {
-  std::lock_guard lock(stats_mu_);
-  return stats_;
+  // Where each cause's count goes, indexed by Disconnect.
+  static constexpr std::uint64_t ServerStats::*kByCause[detail::kCauses] = {
+      &ServerStats::disconnect_eof,
+      &ServerStats::disconnect_idle,
+      &ServerStats::disconnect_oversize,
+      &ServerStats::disconnect_slow_reader,
+      &ServerStats::disconnect_refused,
+      &ServerStats::disconnect_error,
+      &ServerStats::disconnect_drained,
+      &ServerStats::disconnect_header_timeout};
+  const auto get = [](const std::atomic<std::uint64_t>& v) {
+    return v.load(std::memory_order_relaxed);
+  };
+  ServerStats s;
+  for (const detail::ShardBook& b : books_) {
+    s.shard_connections.push_back(get(b.connections));
+    s.shard_answered.push_back(get(b.answered));
+    s.accepted += s.shard_connections.back();
+    s.answered += s.shard_answered.back();
+    s.dispatched += get(b.dispatched);
+    s.bytes_in += get(b.bytes_in);
+    s.bytes_out += get(b.bytes_out);
+    s.http_requests += get(b.http_requests);
+    for (std::size_t i = 0; i < detail::kCauses; ++i) {
+      s.*kByCause[i] += get(b.disconnects[i]);
+    }
+  }
+  return s;
 }
 
 void Server::publish_gauges() const {
@@ -1466,22 +1454,9 @@ void Server::accept_from(const Listener& listener, bool http) {
     // owning shard delivers the polite farewell.
     const bool refused =
         open_conns_.load(std::memory_order_relaxed) >= opts_.max_connections;
-    const std::size_t shard = next_shard_;
+    shards_[next_shard_]->adopt(fd, -1, refused, http);
     next_shard_ = (next_shard_ + 1) % shards_.size();
-    hand_to(shard, fd, -1, refused, http);
   }
-}
-
-void Server::hand_to(std::size_t shard, int fd, int out_fd, bool refused,
-                     bool http) {
-  count(Count::Connection);
-  open_conns_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.accepted;
-    ++stats_.shard_connections[shard];
-  }
-  shards_[shard]->adopt(fd, out_fd, refused, http);
 }
 
 void Server::adopt_stdio(int in_fd, int out_fd) {
@@ -1508,8 +1483,9 @@ void Server::run(std::ostream& log) {
   }
   for (auto& s : shards_) s->start();
   if (stdio_in_ >= 0) {
-    hand_to(0, std::exchange(stdio_in_, -1), std::exchange(stdio_out_, -1),
-            /*refused=*/false, /*http=*/false);
+    shards_[0]->adopt(std::exchange(stdio_in_, -1),
+                      std::exchange(stdio_out_, -1), /*refused=*/false,
+                      /*http=*/false);
   }
 
   while (!stop_requested()) {

@@ -67,7 +67,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -80,8 +79,9 @@ class ThreadPool;
 
 namespace rvhpc::net {
 
-/// Why a connection was closed — stats and rvhpc_net_disconnects_*_total
-/// metrics attribute every close to exactly one cause.
+/// Why a connection was closed.  Every close is attributed to exactly one
+/// cause, counted once in ServerStats and once in the process series
+/// rvhpc_net_disconnect_total{reason="<to_string(cause)>"}.
 enum class Disconnect {
   Eof,         ///< client closed; its buffered requests were answered first
   Idle,        ///< nothing received for idle_timeout_ms ("timeout" answered)
@@ -94,6 +94,8 @@ enum class Disconnect {
                   ///< header_timeout_ms (slow loris; 408 answered on HTTP)
 };
 
+/// The cause's `reason` label: eof, idle, oversize, slow_reader, refused,
+/// error, drained or header_timeout.
 [[nodiscard]] const char* to_string(Disconnect cause);
 
 struct ServerOptions {
@@ -161,11 +163,13 @@ struct ServerOptions {
   double drain_grace_ms = 2000.0;
 };
 
-/// Aggregate counters of one Server's lifetime (mirrors the rvhpc_net_*
-/// obs metrics, which aggregate across instances; tests want these).
+/// Aggregate counters of one Server's lifetime: the sum of the per-shard
+/// counts, read without a lock (Server::stats).  The rvhpc_net_* process
+/// series count the same events, summed across every Server of the
+/// process and labeled by shard or reason.
 struct ServerStats {
-  std::uint64_t accepted = 0;    ///< connections accepted (incl. refused)
-  std::uint64_t answered = 0;    ///< response lines delivered to write buffers
+  std::uint64_t accepted = 0;    ///< sum of shard_connections (incl. refused)
+  std::uint64_t answered = 0;    ///< sum of shard_answered
   std::uint64_t dispatched = 0;  ///< compute phases handed to the pool
   std::uint64_t bytes_in = 0;    ///< payload bytes received
   std::uint64_t bytes_out = 0;   ///< response bytes written
@@ -211,6 +215,7 @@ class Listener {
 
 namespace detail {
 class Shard;
+struct ShardBook;
 class CacheFlusher;
 }  // namespace detail
 
@@ -257,6 +262,7 @@ class Server {
   /// Requests the same graceful drain SIGTERM does (thread-safe).
   void stop() { stop_.store(true, std::memory_order_relaxed); }
 
+  /// Sums the shards' books; safe from any thread, during run() and after.
   [[nodiscard]] ServerStats stats() const;
 
  private:
@@ -265,9 +271,6 @@ class Server {
 
   void accept_pending();
   void accept_from(const Listener& listener, bool http);
-  /// Books one new connection and deals it to `shard` (Shard::adopt).
-  void hand_to(std::size_t shard, int fd, int out_fd, bool refused,
-               bool http);
   void publish_gauges() const;
 
   serve::Service& service_;
@@ -283,8 +286,9 @@ class Server {
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> open_conns_{0};  ///< across shards (cap check)
   std::atomic<std::size_t> inflight_{0};    ///< dispatched, not completed
-  mutable std::mutex stats_mu_;  ///< tests poll stats() from other threads
-  ServerStats stats_;
+  /// One book per shard, sized here and outliving the shards, which run()
+  /// destroys: stats() still reads them after the drain.
+  std::vector<detail::ShardBook> books_;
 };
 
 }  // namespace rvhpc::net

@@ -301,10 +301,9 @@ Service::Service(Options opts)
 std::size_t Service::start(std::ostream& log) {
   if (opts_.cache_file.empty()) return 0;
   const LoadResult r = load_cache(opts_.cache_file, cache_);
-  std::lock_guard lock(stats_mu_);
   switch (r.status) {
     case LoadResult::Status::Loaded:
-      stats_.restored = r.restored;
+      restored_ = r.restored;
       log << "serve: restored " << r.restored << " cache entr"
           << (r.restored == 1 ? "y" : "ies") << " from " << opts_.cache_file
           << "\n";
@@ -320,7 +319,7 @@ std::size_t Service::start(std::ostream& log) {
           << " cache file: " << r.detail << "\n";
       break;
   }
-  return stats_.restored;
+  return restored_;
 }
 
 std::string Service::complete(const Parsed& req, double arrival_us) {
@@ -330,10 +329,7 @@ std::string Service::complete(const Parsed& req, double arrival_us) {
   if (req.timeout_ms > 0.0 &&
       now_us() - arrival_us > req.timeout_ms * 1000.0) {
     count(Count::Timeout);
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.timeouts;
-    }
+    timeouts_.add();
     return error_json(req.id, "timeout",
                       "deadline of " + std::to_string(req.timeout_ms) +
                           " ms expired before evaluation");
@@ -361,12 +357,9 @@ std::string Service::complete(const Parsed& req, double arrival_us) {
     span.arg("kernel", to_string(req.sig.kernel));
     span.arg("cache", hit ? "hit" : "miss");
   }
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.ok;
-    if (hit) ++stats_.cache_hits;
-    if (!p.ran) ++stats_.dnr;
-  }
+  ok_.add();
+  if (hit) cache_hits_.add();
+  if (!p.ran) dnr_.add();
 
   // One buffer, appended field by field: no stream, no string per field.
   // The reserve covers the fixed text and numbers of a typical response.
@@ -423,10 +416,7 @@ Service::Admission Service::admit(const std::string& line) {
   Admission adm;
   adm.arrival_us = now_us();
   count(Count::Request);
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.received;
-  }
+  received_.add();
   try {
     auto req = std::make_shared<Parsed>(
         parse_request(line, opts_.lint_admission, opts_.default_timeout_ms));
@@ -435,19 +425,13 @@ Service::Admission Service::admit(const std::string& line) {
     adm.request = std::move(req);
   } catch (const LintReject& e) {
     count(Count::Rejected);
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.lint_rejected;
-    }
+    lint_rejected_.add();
     adm.id = recover_id(line);
     adm.had_id = !adm.id.empty();
     adm.response = error_json(adm.id, "lint", e.what(), e.detail);
   } catch (const std::exception& e) {
     count(Count::Rejected);
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.parse_errors;
-    }
+    parse_errors_.add();
     adm.id = recover_id(line);
     adm.had_id = !adm.id.empty();
     adm.response = error_json(adm.id, "parse", e.what());
@@ -464,11 +448,8 @@ std::string Service::handle_line(const std::string& line) {
 std::string Service::reject_overloaded(const std::string& id) {
   count(Count::Request);
   count(Count::Rejected);
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.received;
-    ++stats_.overloaded;
-  }
+  received_.add();
+  overloaded_.add();
   return error_json(id, "overloaded",
                     "backlog full (" + std::to_string(opts_.queue_capacity) +
                         " requests pending); retry later");
@@ -476,12 +457,9 @@ std::string Service::reject_overloaded(const std::string& id) {
 
 bool Service::note_evaluation() {
   if (opts_.cache_file.empty() || opts_.checkpoint_every == 0) return false;
-  std::lock_guard lock(stats_mu_);
-  if (++since_checkpoint_ >= opts_.checkpoint_every) {
-    since_checkpoint_ = 0;
-    return true;
-  }
-  return false;
+  const std::uint64_t n =
+      evaluations_.fetch_add(1, std::memory_order_relaxed) + 1;
+  return n % opts_.checkpoint_every == 0;
 }
 
 void Service::flush(std::ostream& log) {
@@ -563,8 +541,17 @@ std::string Service::replay(const std::string& path, std::ostream& out,
 }
 
 ServiceStats Service::stats() const {
-  std::lock_guard lock(stats_mu_);
-  return stats_;
+  ServiceStats s;
+  s.received = received_.value();
+  s.ok = ok_.value();
+  s.dnr = dnr_.value();
+  s.parse_errors = parse_errors_.value();
+  s.lint_rejected = lint_rejected_.value();
+  s.timeouts = timeouts_.value();
+  s.overloaded = overloaded_.value();
+  s.cache_hits = cache_hits_.value();
+  s.restored = restored_;
+  return s;
 }
 
 }  // namespace rvhpc::serve

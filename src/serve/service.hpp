@@ -47,6 +47,7 @@
 // silently dropped request.  A drain (net::Server) or a replay writes the
 // cache file; destroying a Service does not.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -56,13 +57,15 @@
 #include <vector>
 
 #include "engine/cache.hpp"
+#include "obs/metrics.hpp"
 #include "serve/persist.hpp"
 
 namespace rvhpc::serve {
 
-/// Aggregate counters of one Service instance's lifetime (the obs
-/// registry's rvhpc_serve_* counters aggregate across instances; tests and
-/// the replay summary want per-instance numbers).
+/// Aggregate counters of one Service instance's lifetime, read without a
+/// lock (Service::stats).  The obs registry's rvhpc_serve_* counters
+/// aggregate across instances; tests, the drain line and the replay
+/// summary want per-instance numbers.
 struct ServiceStats {
   std::uint64_t received = 0;       ///< request lines seen (non-blank)
   std::uint64_t ok = 0;             ///< evaluated, status "ok"
@@ -180,6 +183,7 @@ class Service {
   /// Writes the persistent cache now (no-op without a cache_file).
   void flush(std::ostream& log);
 
+  /// A snapshot of the counts; exact once the front end has drained.
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] engine::PredictionCache& cache() { return cache_; }
   [[nodiscard]] const Options& options() const { return opts_; }
@@ -189,10 +193,19 @@ class Service {
   Options opts_;
   int jobs_;
   engine::PredictionCache cache_;
-  mutable std::mutex stats_mu_;
   std::mutex save_mu_;  ///< serialises flush() calls from different threads
-  ServiceStats stats_;
-  std::uint64_t since_checkpoint_ = 0;
+  // ServiceStats' counts.  admit() and complete() run on every shard and
+  // pool worker, so each count is a lock-free, per-thread-sharded Counter.
+  obs::Counter received_;
+  obs::Counter ok_;
+  obs::Counter dnr_;
+  obs::Counter parse_errors_;
+  obs::Counter lint_rejected_;
+  obs::Counter timeouts_;
+  obs::Counter overloaded_;
+  obs::Counter cache_hits_;
+  std::uint64_t restored_ = 0;  ///< set by start(), before any front end runs
+  std::atomic<std::uint64_t> evaluations_{0};  ///< note_evaluation()
 };
 
 /// The structured error response (no trailing newline) every front end

@@ -670,6 +670,9 @@ TEST(HttpServer_, HeadMetricsAnswersHeadersOnly) {
 
 TEST(HttpServer_, SlowLorisHeadersAnswered408AndCounted) {
   obs::set_metrics_enabled(true);
+  const obs::Counter& header_timeouts = obs::Registry::global().counter(
+      "rvhpc_net_disconnect_total{reason=\"header_timeout\"}");
+  const std::uint64_t before = header_timeouts.value();
   net::ServerOptions nopts = HttpServer::with_http();
   nopts.header_timeout_ms = 60;
   nopts.poll_interval_ms = 5;
@@ -713,11 +716,12 @@ TEST(HttpServer_, SlowLorisHeadersAnswered408AndCounted) {
   ASSERT_TRUE(m.send_all("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n"));
   http::ResponseParser metrics;
   ASSERT_TRUE(m.recv_response(metrics));
-  EXPECT_NE(metrics.body().find(
-                "rvhpc_net_disconnect_total{reason=\"header_timeout\"}"),
-            std::string::npos)
-      << "the disconnect must surface as "
-         "rvhpc_net_disconnect_total{reason=\"header_timeout\"}";
+  const std::string series =
+      "rvhpc_net_disconnect_total{reason=\"header_timeout\"} " +
+      std::to_string(before + 1) + "\n";
+  EXPECT_NE(metrics.body().find(series), std::string::npos)
+      << "the disconnect must surface once, as " << series;
+  EXPECT_EQ(header_timeouts.value(), before + 1);
 }
 
 }  // namespace

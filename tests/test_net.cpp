@@ -12,7 +12,9 @@
 // Every socket test runs a real Server on an ephemeral loopback port with
 // the event loop on a background thread, and drives it with blocking
 // client sockets (5 s receive timeouts so a regression fails instead of
-// hanging).  The stdio tests hand the Server a pipe pair instead.
+// hanging).  The stdio tests hand the Server a pipe pair instead.  Each
+// disconnect test also runs with metrics on and pins its cause to exactly
+// one step of one rvhpc_net_disconnect_total{reason} series.
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -39,6 +41,7 @@
 
 #include "net/net.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "serve/persist.hpp"
 #include "serve/service.hpp"
 
@@ -177,6 +180,38 @@ std::string request_line(const std::string& id, const std::string& kernel,
          kernel + "\", \"cores\": " + std::to_string(cores) + "}\n";
 }
 
+/// Turns metrics on for one test (before its server builds its shards,
+/// which resolve their series then) and restores the setting after.
+struct MetricsOn {
+  const bool was = obs::metrics_enabled();
+  MetricsOn() { obs::set_metrics_enabled(true); }
+  ~MetricsOn() { obs::set_metrics_enabled(was); }
+};
+
+/// One rvhpc_net_disconnect_total{reason="..."} series, measured from the
+/// moment the watch is made: the registry is process-wide.
+struct DisconnectWatch {
+  const obs::Counter& series;
+  const std::uint64_t before;
+
+  explicit DisconnectWatch(const std::string& reason)
+      : series(obs::Registry::global().counter(
+            "rvhpc_net_disconnect_total{reason=\"" + reason + "\"}")),
+        before(series.value()) {}
+
+  [[nodiscard]] std::uint64_t delta() const { return series.value() - before; }
+
+  /// delta() once the series has moved, waiting up to 5 s for a shard
+  /// thread's count.
+  [[nodiscard]] std::uint64_t moved() const {
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (delta() == 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(2ms);
+    }
+    return delta();
+  }
+};
+
 // --- listener -------------------------------------------------------------
 
 TEST(NetListener, EphemeralPortIsReported) {
@@ -281,6 +316,8 @@ TEST(NetServer, IntervalBackendOverTcpIsDistinctAndSeparatelyCached) {
 TEST(NetServer, PipelinedClientDrainsOnHalfClose) {
   // The rvhpc-client protocol: send everything, shutdown the write side,
   // read until EOF.  Every non-blank line must be answered.
+  const MetricsOn metrics;
+  const DisconnectWatch eof("eof");
   LoopbackServer s;
   Client cl(s.server.port());
   ASSERT_TRUE(cl.connected());
@@ -305,6 +342,7 @@ TEST(NetServer, PipelinedClientDrainsOnHalfClose) {
   ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
     return st.disconnect_eof == 1;
   }));
+  EXPECT_EQ(eof.moved(), 1u);
 }
 
 // --- bounded buffers ------------------------------------------------------
@@ -313,6 +351,8 @@ TEST(NetServer, OversizedLineAnswersOverloadedAndDisconnects) {
   net::ServerOptions nopts;
   nopts.max_line_bytes = 256;
   nopts.poll_interval_ms = 10;
+  const MetricsOn metrics;
+  const DisconnectWatch oversize("oversize");
   LoopbackServer s(nopts);
   Client cl(s.server.port());
   ASSERT_TRUE(cl.connected());
@@ -327,6 +367,7 @@ TEST(NetServer, OversizedLineAnswersOverloadedAndDisconnects) {
   ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
     return st.disconnect_oversize == 1;
   }));
+  EXPECT_EQ(oversize.moved(), 1u);
   EXPECT_EQ(s.service.stats().received, 0u)
       << "an oversized line is rejected by the transport, not the service";
 }
@@ -336,6 +377,8 @@ TEST(NetServer, SlowReaderIsDisconnectedWithBoundedMemory) {
   nopts.max_write_buffer = 1024;  // ~3 responses
   nopts.so_sndbuf = 4096;  // keep the kernel from absorbing the pile-up
   nopts.poll_interval_ms = 10;
+  const MetricsOn metrics;
+  const DisconnectWatch slow_reader("slow_reader");
   LoopbackServer s(nopts);
   Client cl(s.server.port(), /*rcvbuf=*/4096);
   ASSERT_TRUE(cl.connected());
@@ -354,6 +397,7 @@ TEST(NetServer, SlowReaderIsDisconnectedWithBoundedMemory) {
   ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
     return st.disconnect_slow_reader == 1;
   }));
+  EXPECT_EQ(slow_reader.moved(), 1u);
   const net::ServerStats stats = s.server.stats();
   EXPECT_LT(stats.answered, 300u) << "the bound must trip before all 300";
 
@@ -449,6 +493,8 @@ TEST(NetServer, IdleConnectionIsToldTimeoutAndClosed) {
   net::ServerOptions nopts;
   nopts.idle_timeout_ms = 50;
   nopts.poll_interval_ms = 10;
+  const MetricsOn metrics;
+  const DisconnectWatch idle("idle");
   LoopbackServer s(nopts);
   Client cl(s.server.port());
   ASSERT_TRUE(cl.connected());
@@ -461,6 +507,7 @@ TEST(NetServer, IdleConnectionIsToldTimeoutAndClosed) {
   ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
     return st.disconnect_idle == 1;
   }));
+  EXPECT_EQ(idle.moved(), 1u);
 }
 
 TEST(NetServer, SlowLorisPartialLineHitsHeaderDeadlineNotIdle) {
@@ -468,6 +515,9 @@ TEST(NetServer, SlowLorisPartialLineHitsHeaderDeadlineNotIdle) {
   nopts.idle_timeout_ms = 2000;  // generous: every drip resets it
   nopts.header_timeout_ms = 60;  // the deadline actually under test
   nopts.poll_interval_ms = 5;
+  const MetricsOn metrics;
+  const DisconnectWatch header_timeout("header_timeout");
+  const DisconnectWatch idle("idle");
   LoopbackServer s(nopts);
   Client cl(s.server.port());
   ASSERT_TRUE(cl.connected());
@@ -486,8 +536,10 @@ TEST(NetServer, SlowLorisPartialLineHitsHeaderDeadlineNotIdle) {
   ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
     return st.disconnect_header_timeout == 1;
   }));
+  EXPECT_EQ(header_timeout.moved(), 1u);
   EXPECT_EQ(s.server.stats().disconnect_idle, 0u)
       << "the header deadline, not the idle timeout, must attribute this";
+  EXPECT_EQ(idle.delta(), 0u);
 }
 
 // --- misbehaving peers ----------------------------------------------------
@@ -515,6 +567,8 @@ TEST(NetServer, ConnectionsPastTheCapAreRefusedPolitely) {
   net::ServerOptions nopts;
   nopts.max_connections = 1;
   nopts.poll_interval_ms = 10;
+  const MetricsOn metrics;
+  const DisconnectWatch refused("refused");
   LoopbackServer s(nopts);
   Client first(s.server.port());
   ASSERT_TRUE(first.connected());
@@ -531,6 +585,7 @@ TEST(NetServer, ConnectionsPastTheCapAreRefusedPolitely) {
   ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
     return st.disconnect_refused == 1;
   }));
+  EXPECT_EQ(refused.moved(), 1u);
 }
 
 // --- shutdown -------------------------------------------------------------
@@ -570,6 +625,8 @@ TEST(NetServer, SigtermDrainsAndFlushesThePersistentCache) {
 TEST(NetServer, StopAnswersBufferedRequestsBeforeClosing) {
   net::ServerOptions nopts;
   nopts.poll_interval_ms = 10;
+  const MetricsOn metrics;
+  const DisconnectWatch drained("drained");
   LoopbackServer s(nopts);
   Client cl(s.server.port());
   ASSERT_TRUE(cl.connected());
@@ -591,6 +648,9 @@ TEST(NetServer, StopAnswersBufferedRequestsBeforeClosing) {
   std::string line;
   while (std::getline(lines, line)) ++count;
   EXPECT_EQ(count, 4) << "every admitted request is answered at drain";
+  // The client never half-closed: the drain cut it off.
+  EXPECT_EQ(s.server.stats().disconnect_drained, 1u);
+  EXPECT_EQ(drained.delta(), 1u);
 }
 
 // --- out-of-order completion (ISSUE 8) ------------------------------------
@@ -765,11 +825,50 @@ TEST(NetServer, SigtermDrainAnswersInFlightComputes) {
   serve::reset_shutdown();
 }
 
+TEST(NetServer, StopMidComputeKeepsAHalfClosedClientsEof) {
+  // A client that sent everything and half-closed has ended on its own
+  // terms.  A stop while its computes run still answers all of them, and
+  // the close is that client's EOF, not a drain cut-off.
+  const MetricsOn metrics;
+  const DisconnectWatch eof("eof");
+  const DisconnectWatch drained("drained");
+  net::ServerOptions nopts;
+  nopts.poll_interval_ms = 5;  // the stop lands within 5 ms, mid-compute
+  LoopbackServer s(nopts);     // one pool worker: the computes queue up
+  Client cl(s.server.port());
+  ASSERT_TRUE(cl.connected());
+  constexpr int kSlow = 21;
+  std::string batch;
+  for (int i = 0; i < kSlow; ++i) {
+    batch += slow_line("e" + std::to_string(i), 40 + i);
+  }
+  ASSERT_TRUE(cl.send_all(batch));
+  cl.shutdown_write();
+  ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
+    return st.dispatched >= kSlow;
+  }));
+  s.server.stop();
+  s.loop.join();
+
+  std::istringstream lines(cl.recv_until_eof());
+  int answered = 0;
+  for (std::string line; std::getline(lines, line); ++answered) {
+    EXPECT_EQ(obs::json::parse(line).find("status")->str, "ok") << line;
+  }
+  EXPECT_EQ(answered, kSlow);
+  const net::ServerStats stats = s.server.stats();
+  EXPECT_EQ(stats.disconnect_eof, 1u);
+  EXPECT_EQ(stats.disconnect_drained, 0u);
+  EXPECT_EQ(eof.delta(), 1u);
+  EXPECT_EQ(drained.delta(), 0u);
+}
+
 // --- shards ---------------------------------------------------------------
 
 TEST(NetServer, ShardFairnessAcrossTwoShards) {
   net::ServerOptions nopts;
   nopts.shards = 2;
+  const MetricsOn metrics;
   LoopbackServer s(nopts);
 
   // Four connections held open together: round-robin dealing must give
@@ -792,6 +891,18 @@ TEST(NetServer, ShardFairnessAcrossTwoShards) {
   EXPECT_GT(stats.shard_answered[0], 0u);
   EXPECT_GT(stats.shard_answered[1], 0u);
   EXPECT_EQ(stats.shard_answered[0] + stats.shard_answered[1], 4u);
+  EXPECT_EQ(stats.accepted,
+            stats.shard_connections[0] + stats.shard_connections[1]);
+  EXPECT_EQ(stats.answered, stats.shard_answered[0] + stats.shard_answered[1]);
+
+  // One labeled series per event: by shard, and by reason for closes.
+  const std::string text = obs::Registry::global().render_text();
+  EXPECT_NE(text.find("rvhpc_net_requests_total{shard=\"1\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("rvhpc_net_disconnect_total{reason=\"drained\"}"),
+            std::string::npos);
+  EXPECT_EQ(text.find("rvhpc_net_disconnects_"), std::string::npos);
+  EXPECT_EQ(text.find("rvhpc_net_shard_"), std::string::npos);
 }
 
 // --- stdio: one more connection on the shard core -----------------------
@@ -1083,6 +1194,8 @@ TEST(NetStdio, ClosedStdoutEndsTheSessionAsAnError) {
   // The answers' reader has gone (`rvhpc-serve | head -1`) while stdin is
   // still open: the next write fails with EPIPE, which ends the session
   // and drains the server instead of killing it.
+  const MetricsOn metrics;
+  const DisconnectWatch error("error");
   StdioSession s;
   ::close(s.from_server);
   s.from_server = -1;
@@ -1091,6 +1204,7 @@ TEST(NetStdio, ClosedStdoutEndsTheSessionAsAnError) {
   const net::ServerStats stats = s.server.stats();
   EXPECT_EQ(stats.disconnect_error, 1u);
   EXPECT_EQ(stats.disconnect_eof, 0u);
+  EXPECT_EQ(error.delta(), 1u);
   EXPECT_NE(s.log.str().find("serve: drained"), std::string::npos);
 }
 

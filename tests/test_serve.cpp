@@ -19,6 +19,7 @@
 
 #include "arch/registry.hpp"
 #include "arch/serialize.hpp"
+#include "arch/validate.hpp"
 #include "engine/cache.hpp"
 #include "obs/json.hpp"
 #include "serve/persist.hpp"
@@ -415,6 +416,36 @@ TEST(Service, TopologyMachineTextAdmitsThroughLintLikeAnyOther) {
   EXPECT_EQ(bad.find("error")->str, "parse")
       << "dangling endpoints are a from_text parse reject, line-numbered";
   EXPECT_NE(bad.find("message")->str.find("ghost"), std::string::npos);
+}
+
+TEST(Service, OversizedCacheGeometryIsRejectedBeforeItIsSimulated) {
+  // The interval backend keeps a 4-byte slot per simulated set, so these
+  // L3s would cost one request 2^29 and 2^26 slots.  Structural
+  // validation answers "lint" before anything is allocated.
+  serve::Service svc(no_persist());
+  const std::string text = arch::to_text(arch::machine("sg2044"));
+  const std::size_t l3 = text.find("cache = L3 ");
+  ASSERT_NE(l3, std::string::npos);
+  for (const char* geometry : {"cache = L3 4294967296 1 8 64 40",
+                               "cache = L3 68719476736 16 64 64 40"}) {
+    std::string machine = text;
+    machine.replace(l3, machine.find('\n', l3) - l3, geometry);
+    std::string line = R"({"id": "g", "kernel": "CG", "cores": 64, )"
+                       R"("backend": "interval", "machine_text": ")";
+    obs::json::append_escaped(line, machine);
+    line += "\"}";
+    const auto v = parsed(svc.handle_line(line));
+    EXPECT_EQ(v.find("error")->str, "lint") << geometry;
+    EXPECT_EQ(v.find("message")->str,
+              "machine_text fails structural validation");
+    const obs::json::Value* detail = v.find("detail");
+    ASSERT_NE(detail, nullptr);
+    ASSERT_EQ(detail->array.size(), 1u);
+    EXPECT_NE(detail->array[0].str.find(std::to_string(arch::kMaxCacheSets) +
+                                        " sets"),
+              std::string::npos);
+  }
+  EXPECT_EQ(svc.stats().lint_rejected, 2u);
 }
 
 TEST(Service, ExpiredDeadlineAnswersTimeout) {

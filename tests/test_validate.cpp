@@ -1,8 +1,12 @@
 // Tests for rvhpc::arch::validate — every invariant must be enforced.
 
+#include <filesystem>
+#include <fstream>
+
 #include <gtest/gtest.h>
 
 #include "arch/registry.hpp"
+#include "arch/serialize.hpp"
 #include "arch/validate.hpp"
 
 namespace rvhpc::arch {
@@ -95,6 +99,37 @@ TEST(Validate, LatencyMustNotDecrease) {
   MachineModel m = good();
   m.caches[2].latency_cycles = 1;
   EXPECT_TRUE(flags(m, "caches[2]"));
+}
+
+TEST(Validate, CacheSetsAreBounded) {
+  // At a 4-byte slot per simulated set, the interval backend would need
+  // 2 GiB and 256 MiB of slots to simulate these two levels whole; the
+  // third sits exactly at the bound.
+  MachineModel tiny_lines = good();
+  tiny_lines.caches.back() = {"L3", std::size_t{1} << 32, 1, 8, 64, 40};
+  EXPECT_TRUE(flags(tiny_lines, "caches[2]"));
+  MachineModel huge = good();
+  huge.caches.back() = {"L3", std::size_t{64} << 30, 16, 64, 64, 40};
+  EXPECT_TRUE(flags(huge, "caches[2]"));
+  MachineModel at_bound = good();
+  at_bound.caches.back().size_bytes = kMaxCacheSets * 16 * 64;
+  EXPECT_TRUE(is_valid(at_bound));
+}
+
+TEST(Validate, EveryShippedMachineIsWithinTheSetBound) {
+  std::vector<MachineModel> shipped;
+  for (MachineId id : all_machines()) shipped.push_back(machine(id));
+  for (MachineId id : topo_machines()) shipped.push_back(machine(id));
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(RVHPC_SOURCE_DIR) + "/examples/machines")) {
+    std::ifstream in(entry.path());
+    shipped.push_back(parse_machine(in).model);
+  }
+  ASSERT_GT(shipped.size(), all_machines().size() + topo_machines().size())
+      << "no example machine files found";
+  for (const MachineModel& m : shipped) {
+    EXPECT_TRUE(is_valid(m)) << m.name << ":\n" << format_issues(validate(m));
+  }
 }
 
 TEST(Validate, ChannelsFewerThanControllers) {
