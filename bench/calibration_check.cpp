@@ -5,9 +5,18 @@
 // published number next to the model's prediction with the relative error,
 // then a summary of the worst deviations.  The per-table bench binaries
 // present the same data in the paper's own layout.
+//
+//   --gate   exit 1 when the mean |rel.err| exceeds 8.6%, or when a cell
+//            other than the eight known outliers (kKnownOutliers) lies
+//            beyond ±25%.  Model arithmetic only, no wall clock, so it
+//            passes on single-CPU runners and sanitized builds.
+//   --jobs=N worker threads for the batch evaluation (0 = every hardware
+//            thread; see cli::apply_jobs_flag).
 
 #include <cmath>
 #include <iostream>
+#include <set>
+#include <string_view>
 #include <vector>
 
 #include "cli/cli.hpp"
@@ -34,11 +43,22 @@ struct Delta {
 
 std::vector<Delta> g_deltas;
 
+constexpr double kGateMeanAbsErr = 0.086;  ///< --gate: mean |rel.err| bar
+constexpr double kGateCellErr = 0.25;      ///< --gate: per-cell |rel.err| bar
+
+/// The cells the model misses by more than kGateCellErr today.  --gate
+/// accepts these eight and no other: a new one is a regression.
+const std::set<std::string, std::less<>> kKnownOutliers = {
+    "T2 CG visionfive-v1", "T2 FT visionfive-v2", "T6 LU epyc 64c",
+    "T6 SP epyc 16c",      "T6 SP epyc 26c",      "T6 SP epyc 32c",
+    "T6 SP tx2 16c",       "T8 CG gcc15+vec"};
+
 void check(const std::string& what, double paper_value, double our_value) {
   g_deltas.push_back({what, paper_value, our_value});
 }
 
-void print_deltas() {
+/// Prints the table and the summary; returns the mean |rel.err|.
+double print_deltas() {
   report::Table t({"experiment", "paper", "model", "rel.err"});
   for (const auto& d : g_deltas) {
     t.add_row({d.what, report::fmt(d.paper, 2), report::fmt(d.ours, 2),
@@ -59,6 +79,34 @@ void print_deltas() {
             << "  mean |rel.err|: " << report::fmt(100.0 * sum_abs / g_deltas.size(), 1)
             << "%  worst: " << worst_what << " (" << report::fmt(100.0 * worst, 1)
             << "%)\n";
+  return sum_abs / static_cast<double>(g_deltas.size());
+}
+
+/// --gate: the mean bar and the per-cell bar outside kKnownOutliers.
+bool gate_passes(double mean_abs_err) {
+  bool ok = true;
+  if (mean_abs_err > kGateMeanAbsErr) {
+    std::cerr << "GATE FAIL: mean |rel.err| "
+              << report::fmt(100.0 * mean_abs_err, 4) << "% > "
+              << report::fmt(100.0 * kGateMeanAbsErr, 1) << "%\n";
+    ok = false;
+  }
+  for (const auto& d : g_deltas) {
+    if (std::fabs(d.rel_err()) > kGateCellErr && !kKnownOutliers.contains(d.what)) {
+      std::cerr << "GATE FAIL: " << d.what << " off by "
+                << report::fmt(100.0 * d.rel_err(), 1) << "% (beyond ±"
+                << report::fmt(100.0 * kGateCellErr, 0)
+                << "% and not a known outlier)\n";
+      ok = false;
+    }
+  }
+  if (ok) {
+    std::cout << "GATE OK: mean |rel.err| " << report::fmt(100.0 * mean_abs_err, 4)
+              << "% <= " << report::fmt(100.0 * kGateMeanAbsErr, 1)
+              << "%, no cell beyond ±" << report::fmt(100.0 * kGateCellErr, 0)
+              << "% outside the " << kKnownOutliers.size() << " known outliers\n";
+  }
+  return ok;
 }
 
 std::string mname(MachineId id) { return arch::machine(id).name; }
@@ -74,10 +122,12 @@ model::Prediction eval(MachineId id, Kernel k, ProblemClass cls, int cores) {
 
 }  // namespace
 
-// Accepts --jobs=N: worker threads for the batch evaluation (0 = every
-// hardware thread; see cli::apply_jobs_flag).
 int main(int argc, char** argv) {
   cli::apply_jobs_flag(argc, argv);
+  bool gate = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--gate") gate = true;
+  }
   // ---- Table 2: single-core class B across RISC-V machines ----------------
   for (const auto& row : model::paper::table2()) {
     if (!row.mops) continue;
@@ -174,6 +224,6 @@ int main(int argc, char** argv) {
           ablation(row.kernel, 64, model::CompilerId::Gcc15_2, false));
   }
 
-  print_deltas();
-  return 0;
+  const double mean_abs_err = print_deltas();
+  return gate && !gate_passes(mean_abs_err) ? 1 : 0;
 }

@@ -6,9 +6,11 @@
 # hot-path/syscall findings fail; accepted ones live in
 # scripts/lint_baseline.txt with a reason), runs the full test suite under
 # the sanitizers, smoke-runs every bench binary (so the figure/table
-# generators cannot silently rot) and compares the calibration and
-# topology artifacts they regenerate with the checked-in ones byte for
-# byte (interval predictions unchanged), runs rvhpc-lint in --werror mode
+# generators cannot silently rot; calibration_check runs its paper-cell
+# gate) and compares the calibration and topology artifacts they
+# regenerate, at the default pool size and at --jobs=1, with the
+# checked-in ones byte for byte (interval predictions unchanged, and
+# independent of the pool size), runs rvhpc-lint in --werror mode
 # over the registry, the signature suite, every example .machine file and
 # every bench/example C++ source (B001: no predict sweeps bypassing the
 # engine, plus the S-family), replays the checked-in serve fixture cold
@@ -63,6 +65,10 @@ for exe in "$build_dir"/bench/*; do
       args=(--benchmark_filter=PredictSingleCall --benchmark_min_time=0.01) ;;
     obs_overhead|engine_throughput)
       args=(--gate) ;;
+    calibration_check)
+      # The paper-cell gate: mean error <= 8.6%, no new cell beyond ±25%.
+      # Model arithmetic only, so it must pass here under the sanitizers.
+      args=(--gate) ;;
     backend_calibration)
       # The analytic-vs-interval agreement gate: model arithmetic only, no
       # wall-clock assertions, so it must pass on single-CPU runners.  The
@@ -104,6 +110,16 @@ echo "== interval predictions unchanged: smoke JSON == checked-in JSON"
 # moves any prediction by one printed digit fails here.
 cmp "$build_dir/BENCH_calibration.smoke.json" "$repo_root/BENCH_calibration.json"
 cmp "$build_dir/BENCH_topo.smoke.json" "$repo_root/BENCH_topo.json"
+
+echo "== paper artifacts do not depend on the pool size: --jobs=1 == checked-in JSON"
+# The same two artifacts from one thread: engine::parallel_for's serial
+# path over 600 and 125 interval points must reproduce them byte for byte.
+"$build_dir/bench/backend_calibration" --jobs=1 \
+  "--out=$build_dir/BENCH_calibration.jobs1.json" > /dev/null
+"$build_dir/bench/topo_scaling" --jobs=1 \
+  "--out=$build_dir/BENCH_topo.jobs1.json" > /dev/null
+cmp "$build_dir/BENCH_calibration.jobs1.json" "$repo_root/BENCH_calibration.json"
+cmp "$build_dir/BENCH_topo.jobs1.json" "$repo_root/BENCH_topo.json"
 
 echo "== rvhpc-lint --werror: registry + signature suite"
 "$build_dir/src/analysis/rvhpc-lint" --werror

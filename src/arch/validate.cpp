@@ -48,7 +48,11 @@ std::vector<ValidationIssue> validate(const MachineModel& m) {
     const CacheLevel& lvl = m.caches[i];
     const std::string where = "caches[" + std::to_string(i) + "]";
     require(issues, lvl.size_bytes > 0, where, "cache size must be positive");
-    require(issues, lvl.associativity >= 1, where, "associativity must be >= 1");
+    require(issues,
+            lvl.associativity >= 1 && lvl.associativity <= kMaxAssociativity,
+            where,
+            "associativity must be in [1, " +
+                std::to_string(kMaxAssociativity) + "]");
     require(issues, lvl.line_bytes > 0 && (lvl.line_bytes & (lvl.line_bytes - 1)) == 0,
             where, "line size must be a positive power of two");
     require(issues, lvl.shared_by_cores >= 1 && lvl.shared_by_cores <= m.cores,

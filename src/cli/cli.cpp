@@ -6,7 +6,7 @@
 #include <string_view>
 #include <thread>
 
-#include "engine/batch.hpp"
+#include "engine/thread_pool.hpp"
 
 #ifndef RVHPC_VERSION
 #define RVHPC_VERSION "0.0.0"

@@ -45,9 +45,10 @@ void print_help(std::ostream& os, const ToolInfo& tool);
 /// style flag, so each tool rejects bad numbers identically.
 [[nodiscard]] bool parse_size(const std::string& text, std::size_t& out);
 
-/// Scans argv for `--jobs=N` and sizes the engine's default evaluator
-/// pool (engine::set_default_jobs): N > 0 uses exactly N workers (up to
-/// 4096), N == 0 uses every hardware thread
+/// Scans argv for `--jobs=N` and records it as the process's worker count
+/// (engine::set_default_jobs), which sizes every default-jobs batch and the
+/// engine's process pool: N > 0 uses exactly N threads (up to 4096),
+/// N == 0 uses every hardware thread
 /// (std::thread::hardware_concurrency) — the same semantics on every
 /// binary.  Returns the effective worker count applied, 0 when the flag is
 /// absent or malformed.  Other arguments are left untouched.

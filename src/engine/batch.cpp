@@ -1,9 +1,5 @@
 #include "engine/batch.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <mutex>
-
 #include "engine/backend.hpp"
 #include "engine/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -27,8 +23,9 @@ void count_batch(std::size_t requests) {
 BatchEvaluator::BatchEvaluator() : BatchEvaluator(Options{}) {}
 
 BatchEvaluator::BatchEvaluator(Options opts)
-    : jobs_(opts.jobs > 0 ? opts.jobs : default_jobs()),
-      cache_(opts.cache_capacity) {}
+    : jobs_(opts.jobs), cache_(opts.cache_capacity) {}
+
+int BatchEvaluator::jobs() const { return jobs_ > 0 ? jobs_ : default_jobs(); }
 
 std::vector<PredictionResult> BatchEvaluator::evaluate(const RequestSet& set) {
   obs::ScopedSpan span("engine", "evaluate");
@@ -40,47 +37,28 @@ std::vector<PredictionResult> BatchEvaluator::evaluate(const RequestSet& set) {
   // A cache hit would swallow the PredictionRecord predict() emits, so
   // attribution runs pay full price for complete traces.
   const bool use_cache = obs::session() == nullptr;
+  const int jobs = this->jobs();
 
-  auto run_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const PredictionRequest& req = requests[i];
-      PredictionResult& out = results[i];
-      out.index = i;
-      out.tag = req.tag();
-      if (use_cache) {
-        if (std::optional<model::Prediction> hit = cache_.get(req.key())) {
-          out.prediction = *std::move(hit);
-          out.from_cache = true;
-          continue;
-        }
+  parallel_for(requests.size(), jobs, [&](std::size_t i) {
+    const PredictionRequest& req = requests[i];
+    PredictionResult& out = results[i];
+    out.index = i;
+    out.tag = req.tag();
+    if (use_cache) {
+      if (std::optional<model::Prediction> hit = cache_.get(req.key())) {
+        out.prediction = *std::move(hit);
+        out.from_cache = true;
+        return;
       }
-      out.prediction = backend_for(req.backend())
-                           .predict(req.machine(), req.signature(), req.config());
-      if (use_cache) cache_.put(req.key(), out.prediction);
     }
-  };
-
-  if (requests.empty()) return results;
-  if (jobs_ == 1 || requests.size() == 1) {
-    run_range(0, requests.size());
-  } else {
-    // Contiguous chunks, a few per worker, so µs-scale requests amortise
-    // queue traffic while uneven chunks still balance.
-    const std::size_t want =
-        static_cast<std::size_t>(jobs_) * 4;
-    const std::size_t chunk =
-        std::max<std::size_t>(1, (requests.size() + want - 1) / want);
-    ThreadPool pool(jobs_);
-    for (std::size_t begin = 0; begin < requests.size(); begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, requests.size());
-      pool.submit([&run_range, begin, end] { run_range(begin, end); });
-    }
-    pool.wait();
-  }
+    out.prediction = backend_for(req.backend())
+                         .predict(req.machine(), req.signature(), req.config());
+    if (use_cache) cache_.put(req.key(), out.prediction);
+  });
 
   if (span.active()) {
     span.arg("requests", std::to_string(requests.size()));
-    span.arg("jobs", std::to_string(jobs_));
+    span.arg("jobs", std::to_string(jobs));
   }
   return results;
 }
@@ -98,42 +76,9 @@ model::Prediction BatchEvaluator::evaluate_one(
   return p;
 }
 
-namespace {
-
-std::mutex g_default_mu;
-BatchEvaluator* g_default_evaluator = nullptr;  // never freed, like Registry
-int g_default_jobs = 0;                         // 0 = auto
-
-/// Evaluators retired by set_default_jobs().  Callers may hold references
-/// across the swap, so old instances are never destroyed — parking them
-/// here (instead of plain-leaking the pointer) keeps them reachable and
-/// LeakSanitizer quiet.
-std::vector<BatchEvaluator*>& retired_evaluators() {
-  static auto* retired = new std::vector<BatchEvaluator*>();
-  return *retired;
-}
-
-}  // namespace
-
 BatchEvaluator& default_evaluator() {
-  std::lock_guard lock(g_default_mu);
-  if (!g_default_evaluator) {
-    BatchEvaluator::Options opts;
-    opts.jobs = g_default_jobs;
-    g_default_evaluator = new BatchEvaluator(opts);
-  }
-  return *g_default_evaluator;
-}
-
-void set_default_jobs(int jobs) {
-  std::lock_guard lock(g_default_mu);
-  g_default_jobs = jobs;
-  if (g_default_evaluator && g_default_evaluator->jobs() != jobs) {
-    retired_evaluators().push_back(g_default_evaluator);
-    BatchEvaluator::Options opts;
-    opts.jobs = jobs;
-    g_default_evaluator = new BatchEvaluator(opts);
-  }
+  static auto* evaluator = new BatchEvaluator();  // never freed, like Registry
+  return *evaluator;
 }
 
 }  // namespace rvhpc::engine

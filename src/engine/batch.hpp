@@ -1,10 +1,11 @@
 #pragma once
 // rvhpc::engine — BatchEvaluator: parallel, memoised, deterministic.
 //
-// evaluate() fans a RequestSet across a ThreadPool and returns results in
-// request order regardless of completion order — each task writes only its
-// own pre-allocated slot, so the output of a 1-thread and an 8-thread run
-// is identical byte for byte (predict() is pure; verified by test_engine).
+// evaluate() runs a RequestSet through engine::parallel_for and returns
+// results in request order regardless of completion order — each index
+// writes only its own pre-allocated slot, so the output of a 1-thread and
+// an 8-thread run is identical byte for byte (predict() is pure; verified
+// by test_engine).
 //
 // A process-wide default evaluator (default_evaluator()) carries the shared
 // memo cache; bench binaries and model::sweep route through it so a run
@@ -27,8 +28,9 @@ namespace rvhpc::engine {
 class BatchEvaluator {
  public:
   struct Options {
-    /// Worker threads; <= 0 means default_jobs() (RVHPC_JOBS env or
-    /// hardware_concurrency).
+    /// Threads per batch; <= 0 means the process setting, default_jobs()
+    /// (--jobs, RVHPC_JOBS or hardware_concurrency), read when evaluate()
+    /// runs.
     int jobs = 0;
     /// Memo cache entries; 0 disables memoisation.
     std::size_t cache_capacity = PredictionCache::kDefaultCapacity;
@@ -45,7 +47,8 @@ class BatchEvaluator {
       const arch::MachineModel& m, const model::WorkloadSignature& sig,
       const model::RunConfig& cfg, Backend backend = Backend::Analytic);
 
-  [[nodiscard]] int jobs() const { return jobs_; }
+  /// Threads evaluate() asks parallel_for for.
+  [[nodiscard]] int jobs() const;
   [[nodiscard]] PredictionCache& cache() { return cache_; }
 
  private:
@@ -54,12 +57,9 @@ class BatchEvaluator {
 };
 
 /// The process-wide evaluator every migrated bench/example and the
-/// model::sweep helpers share.  Constructed on first use with
-/// set_default_jobs()'s value if one was set, else default_jobs().
+/// model::sweep helpers share.  It follows the process setting
+/// (set_default_jobs(), the --jobs=N flag) and keeps its memo cache for
+/// the life of the process.
 [[nodiscard]] BatchEvaluator& default_evaluator();
-
-/// Overrides the default evaluator's pool size (the --jobs=N flag).  Takes
-/// effect immediately: the evaluator is rebuilt if already constructed.
-void set_default_jobs(int jobs);
 
 }  // namespace rvhpc::engine

@@ -1,16 +1,16 @@
 #pragma once
-// rvhpc::engine — a deliberately simple fixed-size thread pool.
+// rvhpc::engine — a deliberately simple fixed-size thread pool, and
+// parallel_for, the one way the engine runs a batch in parallel.
 //
 // predict() calls are uniform (~µs each) and batches are large, so a
 // single mutex-protected queue is plenty: work-stealing would buy nothing
-// and cost determinism-of-reasoning.  Tasks are plain std::function<void()>;
-// exceptions thrown by a task are caught, stored, and rethrown from wait()
-// on the submitting thread so batch callers see ordinary C++ error flow.
+// and cost determinism-of-reasoning.  Tasks are plain std::function<void()>
+// and must not throw: parallel_for's helpers and the net front end's
+// compute tasks catch their own exceptions.
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -22,30 +22,39 @@
 
 namespace rvhpc::engine {
 
-/// Number of workers to use when the caller does not say: the
-/// RVHPC_JOBS environment variable if set to a positive integer, else
-/// std::thread::hardware_concurrency(), else 1.
+/// The process's worker count: the value set_default_jobs() recorded,
+/// else the RVHPC_JOBS environment variable if set to a positive integer,
+/// else std::thread::hardware_concurrency(), else 1.
 [[nodiscard]] int default_jobs();
+
+/// Records the process's worker count (the --jobs=N flag); <= 0 clears it.
+void set_default_jobs(int jobs);
+
+/// Runs fn(i) once for every i in [0, n) on the calling thread plus at
+/// most `jobs - 1` workers of the process pool, which the first batch that
+/// wants a helper builds with default_jobs() - 1 workers, never resized.
+/// Every thread claims contiguous chunks, about four per thread, from one
+/// atomic cursor; `jobs <= 1` runs every index on the caller, in order.
+/// Waits only for this batch, then rethrows the first exception fn threw.
+void parallel_for(std::size_t n, int jobs,
+                  const std::function<void(std::size_t)>& fn);
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (clamped to >= 1).  `threads == 1` still
-  /// spawns one worker so the execution path is identical at every size.
+  /// Spawns `threads` workers (clamped to >= 1).
   explicit ThreadPool(int threads);
+  /// Runs every task already submitted, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Queues `task` for a worker.  The task must not throw.
   void submit(std::function<void()> task);
 
   /// Submits a task whose result (or exception) is delivered through the
-  /// returned future instead of wait() — the dispatch path the async
-  /// serving front end completes requests on.  Unlike submit(), an
-  /// exception thrown by the task is owned by the future (rethrown from
-  /// get()), never by wait(): a caller holding the future is the one
-  /// waiting for this task, so wait()'s batch error channel stays
-  /// reserved for fire-and-forget work.
+  /// returned future; the future owns the task's exception, so this task
+  /// never throws into the pool.
   template <typename F>
   auto submit_future(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
@@ -57,21 +66,14 @@ class ThreadPool {
     return result;
   }
 
-  /// Blocks until every submitted task has finished, then rethrows the
-  /// first exception any task raised (if one did).
-  void wait();
-
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
 
  private:
   void worker_loop();
 
   std::mutex mu_;
-  std::condition_variable work_cv_;   ///< signalled when a task is queued
-  std::condition_variable idle_cv_;   ///< signalled when in-flight hits zero
+  std::condition_variable work_cv_;  ///< signalled when a task is queued
   std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;         ///< queued + currently executing
-  std::exception_ptr first_error_;
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

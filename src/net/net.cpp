@@ -13,7 +13,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <future>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
@@ -148,8 +147,7 @@ struct Pending {
   bool ordered = true;
   bool done = false;       ///< `response` is final
   bool delivered = false;  ///< appended to the write buffer (or dropped)
-  std::future<std::string> result;  ///< compute phase, when dispatched
-  std::string response;             ///< no trailing newline
+  std::string response;    ///< no trailing newline
 };
 
 /// One HTTP request/response pair in flight on a connection.  Exchanges
@@ -362,10 +360,10 @@ void tally(std::atomic<std::uint64_t>& own, obs::Counter* series = nullptr,
 // --- Shard: one event loop ------------------------------------------------
 
 /// One poll() loop on its own thread.  The acceptor deals sockets in via
-/// adopt(); the compute pool reports finished futures via on_complete();
-/// both poke the wakeup pipe so the loop reacts immediately instead of on
-/// the next poll timeout.  Every Connection is touched by exactly one
-/// shard thread — the pool only ever holds a weak_ptr it never
+/// adopt(); the compute pool hands back finished responses via
+/// on_complete(); both poke the wakeup pipe so the loop reacts immediately
+/// instead of on the next poll timeout.  Every Connection is touched by
+/// exactly one shard thread — the pool only ever holds a weak_ptr it never
 /// dereferences — so connection state needs no locks.
 class Shard {
  public:
@@ -386,14 +384,16 @@ class Shard {
   /// fixes the connection's protocol for its lifetime.
   void adopt(int fd, int out_fd, bool refused, bool http);
 
-  /// A dispatched compute phase finished (pool thread): queue the
-  /// completion and wake the loop so the response is delivered now.
-  void on_complete(const std::weak_ptr<Connection>& conn, std::uint64_t seq);
+  /// A dispatched compute phase finished (pool thread): queue its
+  /// response and wake the loop so it is delivered now.
+  void on_complete(std::weak_ptr<Connection> conn, std::uint64_t seq,
+                   std::string response);
 
  private:
   struct Completion {
     std::weak_ptr<Connection> conn;
     std::uint64_t seq = 0;
+    std::string response;
   };
 
   void loop();
@@ -414,7 +414,7 @@ class Shard {
   [[nodiscard]] std::string oversize_error() const;
   Pending evaluate_line(const std::shared_ptr<Connection>& cp,
                         const std::string& line);
-  void dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
+  void dispatch(const std::shared_ptr<Connection>& cp, std::uint64_t seq,
                 serve::Service::Admission adm);
   void flush_deliverable(Connection& c);
   void drain_completions();
@@ -546,11 +546,11 @@ void Shard::adopt(int fd, int out_fd, bool refused, bool http) {
   wake();
 }
 
-void Shard::on_complete(const std::weak_ptr<Connection>& conn,
-                        std::uint64_t seq) {
+void Shard::on_complete(std::weak_ptr<Connection> conn, std::uint64_t seq,
+                        std::string response) {
   {
     std::lock_guard lock(cq_mu_);
-    completions_.push_back({conn, seq});
+    completions_.push_back({std::move(conn), seq, std::move(response)});
   }
   wake();
 }
@@ -767,31 +767,30 @@ Pending Shard::evaluate_line(const std::shared_ptr<Connection>& cp,
     }
     return p;
   }
-  dispatch(cp, p, std::move(adm));
+  dispatch(cp, p.seq, std::move(adm));
   return p;
 }
 
-void Shard::dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
+void Shard::dispatch(const std::shared_ptr<Connection>& cp, std::uint64_t seq,
                      serve::Service::Admission adm) {
-  // packaged_task owns the compute phase: its future carries the response
-  // (or the exception) back to the loop thread, and running it *before*
-  // poking the shard guarantees the future is ready when the loop calls
-  // get().
-  auto task = std::make_shared<std::packaged_task<std::string()>>(
-      [service = &server_.service_, req = adm.request,
-       arrival = adm.arrival_us] { return service->complete(*req, arrival); });
-  p.result = task->get_future();
-  const std::uint64_t seq = p.seq;
-
   server_.inflight_.fetch_add(1, std::memory_order_relaxed);
   tally(book_.dispatched);
-  std::weak_ptr<Connection> wk = cp;
-  server_.pool_->submit([this, task, wk = std::move(wk), seq] {
-    (*task)();
+  server_.pool_->submit([this, req = std::move(adm.request),
+                         arrival = adm.arrival_us,
+                         wk = std::weak_ptr<Connection>(cp), seq]() mutable {
+    std::string response;
+    try {
+      response = server_.service_.complete(*req, arrival);
+    } catch (const std::exception& e) {
+      // complete() promises not to throw and a pool task must not; this is
+      // the belt to that suspender — the client still gets a structured
+      // line.
+      response = serve::error_json("", "internal", e.what());
+    }
     const bool checkpoint_due = server_.service_.note_evaluation();
     server_.inflight_.fetch_sub(1, std::memory_order_relaxed);
     if (checkpoint_due && server_.flusher_) server_.flusher_->notify();
-    on_complete(wk, seq);
+    on_complete(std::move(wk), seq, std::move(response));
   });
 }
 
@@ -1098,18 +1097,12 @@ void Shard::drain_completions() {
     std::lock_guard lock(cq_mu_);
     ready.swap(completions_);
   }
-  for (const Completion& done : ready) {
+  for (Completion& done : ready) {
     const std::shared_ptr<Connection> c = done.conn.lock();
     if (!c) continue;
     if (Pending* p = find_item(
             *c, [&](const Pending& q) { return q.seq == done.seq; })) {
-      try {
-        p->response = p->result.get();
-      } catch (const std::exception& e) {
-        // complete() promises not to throw; this is the belt to that
-        // suspender — the client still gets a structured line.
-        p->response = serve::error_json("", "internal", e.what());
-      }
+      p->response = std::move(done.response);
       p->done = true;
     }
     if (c->http) {
@@ -1299,7 +1292,7 @@ void Shard::drain() {
     }
   }
   process_lines();
-  // Answered, not dropped: every dispatched compute future completes and
+  // Answered, not dropped: every dispatched compute completes and
   // delivers before sockets are torn down.  This wait is not grace-bounded
   // — the pool outlives the shards precisely so it terminates.
   while (true) {
@@ -1472,7 +1465,7 @@ void Server::run(std::ostream& log) {
 
   // One compute pool shared by every shard (sized by the service's jobs
   // setting), one background cache flusher, N event loops.  The pool and
-  // the flusher must outlive the shards: shard drain waits on futures the
+  // the flusher must outlive the shards: shard drain waits on computes the
   // pool is still running, and the flusher owns every cache checkpoint.
   pool_ = std::make_unique<engine::ThreadPool>(service_.jobs());
   flusher_ = std::make_unique<detail::CacheFlusher>(service_, log);
@@ -1501,14 +1494,15 @@ void Server::run(std::ostream& log) {
   }
 
   // Drain: stop accepting, then let every shard answer what it owes
-  // (buffered complete lines and in-flight futures) before the pool and
-  // the flusher wind down — the flusher's destructor performs the final
-  // cache checkpoint, on this thread.
+  // (buffered complete lines and in-flight computes) before the pool and
+  // the flusher wind down.  Destroying the pool runs every queued task,
+  // each task's wake of its shard included, before the shards go; the
+  // flusher's destructor performs the final cache checkpoint, on this
+  // thread.
   listener_.close();
   http_listener_.close();
   for (auto& s : shards_) s->request_stop();
   for (auto& s : shards_) s->join();
-  pool_->wait();
   pool_.reset();
   flusher_.reset();
   shards_.clear();

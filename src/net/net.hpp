@@ -27,7 +27,7 @@
 //   acceptor ──round-robin──▶ shard 0..N-1 (one poll() loop each)
 //                                 │ admit (cheap parse/lint)
 //                                 ▼
-//                         engine::ThreadPool ──futures──▶ completions
+//                         engine::ThreadPool ──results──▶ completions
 //                                 ▲                            │
 //                                 └── wakeup pipe re-arms ◀────┘
 //
@@ -35,16 +35,17 @@
 // accepted sockets round-robin to N event-loop shards; each shard owns its
 // connections exclusively and runs its own poll() loop with a wakeup pipe.
 // A shard splits every request line through serve::Service::admit() — the
-// cheap parse/admission phase — and dispatches the compute phase to the
-// shared engine ThreadPool as a std::future; a completed future pokes the
-// shard's wakeup pipe so the response is flushed immediately instead of on
-// the next poll tick.  Responses complete out of order per connection:
-// requests carrying an "id" are answered as soon as their future resolves
-// (the id is echoed so clients can match), requests without an "id" keep
-// the in-order contract a client that cannot match ids relies on.  Warm requests are
-// completed inline on the shard (a memo probe, no pool handoff), so one
-// slow uncached prediction never stalls cached hits — on the same
-// connection or any other.  The periodic persistent-cache checkpoint runs
+// cheap parse/admission phase — and dispatches the compute phase as a plain
+// task to the server's own engine::ThreadPool (service.jobs() workers, for
+// the length of run()); the task hands its response string back to the
+// shard and pokes the shard's wakeup pipe so the response is flushed
+// immediately instead of on the next poll tick.  Responses complete out of
+// order per connection: requests carrying an "id" are answered as soon as
+// their compute finishes (the id is echoed so clients can match), requests
+// without an "id" keep the in-order contract a client that cannot match
+// ids relies on.  Warm requests are completed inline on the shard (a memo
+// probe, no pool handoff), so one slow uncached prediction never stalls
+// cached hits — on the same connection or any other.  The periodic persistent-cache checkpoint runs
 // on a dedicated background flusher thread, never on an event loop; the
 // drain's checkpoint runs on the thread that called run().
 //
@@ -58,7 +59,7 @@
 //
 // Shutdown: SIGTERM/SIGINT (serve::install_shutdown_handlers) or stop()
 // stops accepting, answers every complete request line already buffered,
-// waits for every in-flight compute future (answered, not dropped),
+// waits for every in-flight compute (answered, not dropped),
 // flushes write buffers (bounded grace) and the persistent cache, and
 // returns from run().
 
@@ -153,7 +154,7 @@ struct ServerOptions {
   /// connections get the structured "timeout" error line.
   double header_timeout_ms = 0.0;
   /// poll() timeout — the latency bound on noticing stop()/SIGTERM.
-  /// (Completed futures do not wait for it: they poke the owning shard's
+  /// (Completed computes do not wait for it: they poke the owning shard's
   /// wakeup pipe.)
   int poll_interval_ms = 50;
   /// Grace for flushing write buffers at drain (and for closing
@@ -254,7 +255,7 @@ class Server {
   /// Accept loop: spawns the shards, the compute pool and the background
   /// cache flusher, then deals accepted sockets round-robin until stop(),
   /// serve::shutdown_requested() or the end of an adopted stdio session.
-  /// Drains (buffered requests answered, in-flight futures completed,
+  /// Drains (buffered requests answered, in-flight computes completed,
   /// write buffers and, on this thread, the persistent cache flushed) and
   /// logs "net: drained" and "serve: drained" summaries before returning.
   void run(std::ostream& log);

@@ -82,7 +82,7 @@ class Service {
  public:
   struct Options {
     /// Worker threads evaluating admitted requests; <= 0 means
-    /// engine::default_jobs() (RVHPC_JOBS or hardware_concurrency).
+    /// engine::default_jobs() (--jobs, RVHPC_JOBS or hardware_concurrency).
     int jobs = 0;
     /// Maximum compute phases dispatched to the pool and not yet
     /// completed (live mode).  A request arriving past this bound is
@@ -123,7 +123,8 @@ class Service {
   std::size_t start(std::ostream& log);
 
   /// Batch-replays a request log: every line is admitted (no backlog
-  /// rejection — replay is offline), evaluated across the pool, and
+  /// rejection — replay is offline), evaluated on `jobs` threads through
+  /// engine::parallel_for, and
   /// answered in *request order* with deterministic fields only, then the
   /// cache is flushed.  This is the reference the live front ends are
   /// compared against (scripts/check.sh `cmp`s them).  Returns
@@ -157,8 +158,8 @@ class Service {
 
   /// Phase 2: evaluates an admitted request (cache probe, then the
   /// backend predict on a miss) and renders the response JSON.
-  /// Thread-safe; this is what the net front end dispatches to the engine
-  /// ThreadPool as a future.  Never throws.
+  /// Thread-safe; this is what the net front end dispatches to its
+  /// compute pool.  Never throws.
   [[nodiscard]] std::string complete(const Parsed& req, double arrival_us);
 
   /// True when `req` would answer from the memo cache — the front end

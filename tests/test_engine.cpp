@@ -4,10 +4,12 @@
 // 2 or 8 workers must produce bit-identical predictions in request order.
 // Everything else (memoisation, counters, the --jobs flag) layers on top.
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -366,15 +368,49 @@ TEST(PredictionCache, EntriesReplayedInReverseReproducesRecency) {
   EXPECT_TRUE(replayed.get(4).has_value());
 }
 
-TEST(ThreadPool, RethrowsFirstTaskExceptionFromWait) {
-  engine::ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  // The pool must stay usable after an error batch.
-  int done = 0;
-  pool.submit([&] { done = 1; });
-  pool.wait();
-  EXPECT_EQ(done, 1);
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (std::size_t n : {0u, 1u, 2u, 1000u}) {
+    for (int jobs : {1, 2, 8}) {
+      std::vector<std::atomic<int>> runs(n);
+      engine::parallel_for(n, jobs, [&](std::size_t i) { ++runs[i]; });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "n=" << n << " jobs=" << jobs;
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, OneJobRunsOnTheCallerInIndexOrder) {
+  std::vector<std::size_t> order;
+  std::vector<std::thread::id> threads;
+  engine::parallel_for(100, 1, [&](std::size_t i) {
+    order.push_back(i);
+    threads.push_back(std::this_thread::get_id());
+  });
+  ASSERT_EQ(order.size(), 100u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(threads[i], std::this_thread::get_id());
+  }
+}
+
+TEST(ParallelFor, RethrowsTheFirstExceptionAndThePoolRunsTheNextBatch) {
+  const auto fail_at_7 = [](std::size_t i) {
+    if (i == 7) throw std::runtime_error("task failed");
+  };
+  EXPECT_THROW(engine::parallel_for(64, 4, fail_at_7), std::runtime_error);
+  std::atomic<int> done{0};
+  engine::parallel_for(64, 4, [&](std::size_t) { ++done; });
+  EXPECT_EQ(done.load(), 64);
+}
+
+TEST(ThreadPool, DestructorRunsEverySubmittedTask) {
+  std::atomic<int> done{0};
+  {
+    engine::ThreadPool pool(2);
+    for (int i = 0; i < 100; ++i) pool.submit([&] { ++done; });
+  }
+  EXPECT_EQ(done.load(), 100);
 }
 
 TEST(ThreadPool, SubmitFutureDeliversValueAndOwnsItsException) {
@@ -382,12 +418,25 @@ TEST(ThreadPool, SubmitFutureDeliversValueAndOwnsItsException) {
   std::future<int> ok = pool.submit_future([] { return 41 + 1; });
   EXPECT_EQ(ok.get(), 42);
 
-  // The future owns the task's exception; wait()'s fire-and-forget error
-  // channel must stay clean so batch callers never see serving errors.
+  // The future owns the task's exception, so the task never throws into
+  // the pool's worker.
   std::future<int> bad =
       pool.submit_future([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(bad.get(), std::runtime_error);
-  EXPECT_NO_THROW(pool.wait());
+}
+
+TEST(DefaultEvaluator, SetDefaultJobsKeepsTheEvaluatorAndItsCache) {
+  engine::BatchEvaluator& before = engine::default_evaluator();
+  engine::RequestSet set;
+  set.add_paper_setup(arch::MachineId::Sg2044, model::Kernel::IS,
+                      model::ProblemClass::B, 16, "is16");
+  (void)before.evaluate(set);
+
+  engine::set_default_jobs(before.jobs() + 1);
+  EXPECT_EQ(&engine::default_evaluator(), &before);
+  EXPECT_EQ(engine::default_evaluator().jobs(), engine::default_jobs());
+  EXPECT_TRUE(engine::default_evaluator().evaluate(set).at(0).from_cache);
+  engine::set_default_jobs(0);
 }
 
 TEST(DefaultEvaluator, EvaluateOneMatchesDirectPredict) {

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -419,15 +420,23 @@ TEST(Service, TopologyMachineTextAdmitsThroughLintLikeAnyOther) {
 }
 
 TEST(Service, OversizedCacheGeometryIsRejectedBeforeItIsSimulated) {
-  // The interval backend keeps a 4-byte slot per simulated set, so these
-  // L3s would cost one request 2^29 and 2^26 slots.  Structural
-  // validation answers "lint" before anything is allocated.
+  // The interval backend keeps a 4-byte slot per simulated set, so the
+  // first two L3s would cost one request 2^29 and 2^26 slots; the third
+  // is one set of 2^16 ways, each scanned on every access.  Structural
+  // validation answers "lint" before anything is allocated or simulated.
   serve::Service svc(no_persist());
   const std::string text = arch::to_text(arch::machine("sg2044"));
   const std::size_t l3 = text.find("cache = L3 ");
   ASSERT_NE(l3, std::string::npos);
-  for (const char* geometry : {"cache = L3 4294967296 1 8 64 40",
-                               "cache = L3 68719476736 16 64 64 40"}) {
+  const std::string sets = std::to_string(arch::kMaxCacheSets) + " sets";
+  const std::string ways =
+      "associativity must be in [1, " +
+      std::to_string(arch::kMaxAssociativity) + "]";
+  const std::pair<const char*, std::string> cases[] = {
+      {"cache = L3 4294967296 1 8 64 40", sets},
+      {"cache = L3 68719476736 16 64 64 40", sets},
+      {"cache = L3 4194304 65536 64 64 40", ways}};
+  for (const auto& [geometry, issue] : cases) {
     std::string machine = text;
     machine.replace(l3, machine.find('\n', l3) - l3, geometry);
     std::string line = R"({"id": "g", "kernel": "CG", "cores": 64, )"
@@ -440,12 +449,11 @@ TEST(Service, OversizedCacheGeometryIsRejectedBeforeItIsSimulated) {
               "machine_text fails structural validation");
     const obs::json::Value* detail = v.find("detail");
     ASSERT_NE(detail, nullptr);
-    ASSERT_EQ(detail->array.size(), 1u);
-    EXPECT_NE(detail->array[0].str.find(std::to_string(arch::kMaxCacheSets) +
-                                        " sets"),
-              std::string::npos);
+    ASSERT_EQ(detail->array.size(), 1u) << geometry;
+    EXPECT_NE(detail->array[0].str.find(issue), std::string::npos)
+        << detail->array[0].str;
   }
-  EXPECT_EQ(svc.stats().lint_rejected, 2u);
+  EXPECT_EQ(svc.stats().lint_rejected, 3u);
 }
 
 TEST(Service, ExpiredDeadlineAnswersTimeout) {

@@ -114,6 +114,15 @@ TEST(Validate, CacheSetsAreBounded) {
   MachineModel at_bound = good();
   at_bound.caches.back().size_bytes = kMaxCacheSets * 16 * 64;
   EXPECT_TRUE(is_valid(at_bound));
+  // Ways are bounded too: a one-set level past kMaxAssociativity is
+  // rejected, and one at the bound still validates.
+  MachineModel wide = good();
+  wide.caches.back() = {"L3", std::size_t{4} << 20, 65536, 64, 64, 40};
+  EXPECT_TRUE(flags(wide, "caches[2]"));
+  MachineModel ways_at_bound = good();
+  ways_at_bound.caches.back().associativity = kMaxAssociativity;
+  EXPECT_TRUE(is_valid(ways_at_bound))
+      << format_issues(validate(ways_at_bound));
 }
 
 TEST(Validate, EveryShippedMachineIsWithinTheSetBound) {
